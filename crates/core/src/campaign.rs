@@ -92,12 +92,14 @@ pub struct CampaignReport {
     /// fileID bucket sizes under FIRST_TWO indexing (Fig. 3's left
     /// panel), when tracking was enabled.
     pub bucket_sizes_first_two: Option<Vec<usize>>,
-    /// The dataset records accumulated by the caller-provided sink?
-    /// No — records stream through `on_record`; this is their count.
+    /// Records written to the dataset. The records themselves stream
+    /// out through the caller's sink (`on_record`, or the dataset
+    /// writer); this is their count.
     pub records: u64,
-    /// Periodic machine-health records (empty unless the campaign ran
-    /// through [`run_campaign_observed`] with an enabled registry and a
-    /// non-zero `health_interval_secs`).
+    /// Periodic machine-health records. Every entry point records them
+    /// when its registry is enabled and `health_interval_secs` is
+    /// non-zero, the writer-owning ones included; otherwise this is
+    /// empty.
     pub health: HealthSeries,
 }
 
@@ -109,7 +111,7 @@ pub fn run_campaign(config: &CampaignConfig, on_record: impl FnMut(AnonRecord)) 
 /// [`run_campaign`] with live telemetry: the capture ring, every
 /// pipeline stage, and the application-level generators report into
 /// `registry` while the campaign runs (see
-/// [`run_capture_pipeline_observed`] and `CaptureBuffer::attach_telemetry`
+/// [`run_capture_pipeline_with`] and `CaptureBuffer::attach_telemetry`
 /// for the metric names), and a [`HealthRecorder`] cuts a snapshot
 /// every `config.health_interval_secs` of virtual time. Callers holding
 /// a clone of `registry` can snapshot it concurrently from another
@@ -119,24 +121,17 @@ pub fn run_campaign_observed(
     registry: &Registry,
     on_record: impl FnMut(AnonRecord),
 ) -> CampaignReport {
+    let report = try_run_campaign_checkpointed(config, registry, on_record, |_| {});
     // etwlint: allow(no-panic-hot-path): config errors are startup-time
     // caller bugs, not capture-time failures; fallible callers use
-    // try_run_campaign_observed instead.
-    try_run_campaign_observed(config, registry, on_record).expect("invalid campaign configuration")
+    // try_run_campaign_checkpointed instead.
+    report.expect("invalid campaign configuration")
 }
 
-/// Fallible variant of [`run_campaign_observed`]: validates `config` up
-/// front and returns the typed [`ConfigError`] instead of panicking, so
-/// binaries can report bad configuration gracefully.
-pub fn try_run_campaign_observed(
-    config: &CampaignConfig,
-    registry: &Registry,
-    on_record: impl FnMut(AnonRecord),
-) -> Result<CampaignReport, ConfigError> {
-    campaign_inner(config, registry, None, on_record, |_| {})
-}
-
-/// [`try_run_campaign_observed`] plus resume checkpoints: with a nonzero
+/// Fallible variant of [`run_campaign_observed`] with resume
+/// checkpoints: validates `config` up front and returns the typed
+/// [`ConfigError`] instead of panicking, so binaries can report bad
+/// configuration gracefully. With a nonzero
 /// `config.checkpoint_interval_secs`, `on_checkpoint` receives a
 /// [`Checkpoint`] each time virtual time crosses an interval boundary.
 /// The campaign fills everything except `writer_bytes`, which only the
@@ -648,8 +643,9 @@ mod tests {
         let run = || {
             let registry = Registry::new();
             let mut records = Vec::new();
-            let report = try_run_campaign_observed(&config, &registry, |r| records.push(r))
-                .expect("valid config");
+            let report =
+                try_run_campaign_checkpointed(&config, &registry, |r| records.push(r), |_| {})
+                    .expect("valid config");
             (report, records, registry.snapshot())
         };
         let (report, records, snap) = run();
@@ -935,17 +931,24 @@ mod tests {
         }
 
         let config = CampaignConfig::tiny();
-        let result = try_run_campaign_to_writer(
-            &config,
-            &Registry::disabled(),
-            TailConfig::default(),
-            DatasetWriter::new(FailAfter { left: 4096 }).expect("header fits"),
-            |_| {},
-        );
-        match result {
-            Err(CampaignError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
-            Err(other) => panic!("expected io error, got {other}"),
-            Ok(_) => panic!("writer must fail"),
+        // The serial and the sharded anonymise back ends share the
+        // writer-failure path; both must surface the error.
+        for anon_shards in [1, 4] {
+            let result = try_run_campaign_to_writer(
+                &config,
+                &Registry::disabled(),
+                TailConfig {
+                    anon_shards,
+                    ..TailConfig::default()
+                },
+                DatasetWriter::new(FailAfter { left: 4096 }).expect("header fits"),
+                |_| {},
+            );
+            match result {
+                Err(CampaignError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
+                Err(other) => panic!("S={anon_shards}: expected io error, got {other}"),
+                Ok(_) => panic!("S={anon_shards}: writer must fail"),
+            }
         }
     }
 

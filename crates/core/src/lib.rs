@@ -40,13 +40,13 @@ pub mod wirepath;
 
 pub use campaign::{
     render_health_dat, run_campaign, run_campaign_observed, try_resume_campaign_observed,
-    try_run_campaign_checkpointed, try_run_campaign_observed, CampaignReport, CaptureSide,
+    try_run_campaign_checkpointed, CampaignReport, CaptureSide,
 };
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use config::{CampaignConfig, ConfigError};
 pub use pipeline::{
-    run_capture_pipeline, run_capture_pipeline_observed, run_capture_pipeline_with,
-    PipelineCheckpoint, PipelineOptions, PipelineStats, ResumePoint, TimedFrame, TraceOptions,
+    run_capture_pipeline, run_capture_pipeline_with, PipelineCheckpoint, PipelineOptions,
+    PipelineStats, ResumePoint, TimedFrame, TraceOptions,
 };
 pub use source::{run_source_only, SourceStream};
 pub use summary::{render_t1, t1_key_values};

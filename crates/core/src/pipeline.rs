@@ -17,9 +17,11 @@
 
 use crate::wirepath::{Direction, Recovered, WireDecoder, SERVER_IP};
 use bytes::Bytes;
-use etw_anonymize::fileid::{BucketedArrays, FileIdAnonymizer, ProbeStats};
+use etw_anonymize::fileid::{BucketedArrays, ByteSelector, FileIdAnonymizer, ProbeStats};
 use etw_anonymize::scheme::{AnonRecord, PaperScheme};
-use etw_anonymize::shard::{build_sharded, collect_ids, shard_count_valid, MAX_SHARDS};
+use etw_anonymize::shard::{
+    build_sharded, collect_ids, shard_count_valid, Assembler, ShardSet, MAX_SHARDS,
+};
 use etw_edonkey::decoder::{DecodeOutcome, Decoder, DecoderStats};
 use etw_edonkey::ids::{ClientId, FileId};
 use etw_edonkey::messages::Message;
@@ -463,13 +465,15 @@ pub fn run_capture_pipeline<I>(
 where
     I: Iterator<Item = TimedFrame> + Send,
 {
-    run_capture_pipeline_observed(
+    run_capture_pipeline_with(
         frames,
         n_workers,
         scheme,
         fig3,
         &Registry::disabled(),
+        &PipelineOptions::default(),
         on_record,
+        |_| {},
     )
 }
 
@@ -480,10 +484,9 @@ struct DecodeTelemetry {
     service_ns: Histogram,
 }
 
-/// Handles for the sequential sink stage (reorder + anonymise).
+/// Handles for the sequential sink stage: anonymiser service time and
+/// the record ledger.
 struct SinkTelemetry {
-    reorder_depth: Gauge,
-    reorder_depth_hwm: Gauge,
     anonymize_ns: Histogram,
     records: Counter,
     queries: Counter,
@@ -491,48 +494,90 @@ struct SinkTelemetry {
     from_server: Counter,
 }
 
-/// [`run_capture_pipeline`] with live telemetry: every stage reports
-/// throughput, service time, and queueing into `registry` while the
-/// pipeline runs, under these names:
+impl SinkTelemetry {
+    fn new(registry: &Registry) -> SinkTelemetry {
+        SinkTelemetry {
+            anonymize_ns: registry.histogram("stage.anonymize.service_ns"),
+            records: registry.counter("stage.sink.records_total"),
+            queries: registry.counter("stage.sink.queries_total"),
+            to_server: registry.counter("stage.sink.to_server_total"),
+            from_server: registry.counter("stage.sink.from_server_total"),
+        }
+    }
+
+    /// Books one anonymised run of `records` records; `dirs` is its
+    /// `(to_server, from_server)` split.
+    fn book(&self, stats: &mut PipelineStats, records: u64, queries: u64, dirs: (u64, u64)) {
+        stats.records += records;
+        stats.query_records += queries;
+        stats.to_server += dirs.0;
+        stats.from_server += dirs.1;
+        self.records.add(records);
+        self.queries.add(queries);
+        self.to_server.add(dirs.0);
+        self.from_server.add(dirs.1);
+    }
+}
+
+/// The reorder stage: receives the decode workers' step batches,
+/// restores capture order and hands every decoded message to `emit` in
+/// sequence (noise and tombstone steps advance the sequence and emit
+/// nothing). Reports `stage.reorder.depth`/`depth_hwm` and one `trace`
+/// span per received batch; `start_us` stamps the spans until the first
+/// message arrives.
+fn drain_reorder(
+    out_rx: &MeteredReceiver<Vec<WorkerStep>>,
+    registry: &Registry,
+    trace: &StageTrace,
+    start_us: u64,
+    mut emit: impl FnMut(DecodedMsg),
+) {
+    let reorder_depth = registry.gauge("stage.reorder.depth");
+    let reorder_depth_hwm = registry.gauge("stage.reorder.depth_hwm");
+    let mut reorder: BTreeMap<u64, Option<DecodedMsg>> = BTreeMap::new();
+    let mut next_seq = 0u64;
+    let mut last_us = start_us;
+    let mut pt = trace.begin();
+    while let Ok(batch) = out_rx.recv() {
+        let w0 = trace.service_begin(&mut pt);
+        let items = batch.len() as u64;
+        for (seq, decoded) in batch {
+            reorder.insert(seq, decoded);
+        }
+        while let Some(decoded) = reorder.remove(&next_seq) {
+            next_seq += 1;
+            if let Some(d) = decoded {
+                last_us = d.ts.0;
+                emit(d);
+            }
+        }
+        let depth = reorder.len() as i64;
+        reorder_depth.set(depth);
+        if depth > reorder_depth_hwm.get() {
+            reorder_depth_hwm.set(depth);
+        }
+        trace.service_end(&mut pt, depth as u32, last_us, w0, items);
+    }
+    debug_assert!(reorder.is_empty(), "holes in the sequence space");
+}
+
+/// The serial pipeline: every stage reports throughput, service time
+/// and queueing into `registry` while it runs, under these names:
 ///
 /// * `stage.producer.frames_total` — frames routed to workers;
 /// * `chan.decode_in.*` / `chan.decode_out.*` — queue depth, messages,
 ///   and backpressure stalls of the worker input and output channels
 ///   (input metrics aggregate over all workers);
 /// * `stage.decode.frames_total`, `stage.decode.service_ns` — decode
-///   worker throughput and per-frame service time;
+///   worker throughput and per-batch service time;
 /// * `stage.reorder.depth`, `stage.reorder.depth_hwm` — reorder-buffer
 ///   occupancy (a growing value means one worker lags its siblings);
 /// * `stage.anonymize.service_ns` — per-record anonymiser service time;
 /// * `stage.sink.records_total`, `stage.sink.queries_total`,
 ///   `stage.sink.to_server_total`, `stage.sink.from_server_total`.
 ///
-/// With a disabled registry every instrument degenerates to a no-op and
-/// this is the same pipeline as [`run_capture_pipeline`].
-pub fn run_capture_pipeline_observed<I>(
-    frames: I,
-    n_workers: usize,
-    scheme: PaperScheme,
-    fig3: Option<BucketedArrays>,
-    registry: &Registry,
-    on_record: impl FnMut(AnonRecord),
-) -> (PipelineStats, PaperScheme, Option<BucketedArrays>)
-where
-    I: Iterator<Item = TimedFrame> + Send,
-{
-    run_capture_pipeline_with(
-        frames,
-        n_workers,
-        scheme,
-        fig3,
-        registry,
-        &PipelineOptions::default(),
-        on_record,
-        |_| {},
-    )
-}
-
-/// [`run_capture_pipeline_observed`] plus the fault-tolerance surface:
+/// With a disabled registry every instrument degenerates to a no-op.
+/// On top of that it carries the fault-tolerance surface:
 ///
 /// * **Supervised workers** — with [`PipelineOptions::faults`], each
 ///   decode worker wraps its per-frame work in `catch_unwind`. A crashed
@@ -556,6 +601,9 @@ where
 ///   without touching anonymiser state (that state was restored from
 ///   the checkpoint), then continues exactly where the interrupted run
 ///   left off.
+///
+/// This per-record tail is the reference the batched tail
+/// ([`run_capture_pipeline_batched`]) is proven byte-identical against.
 #[allow(clippy::too_many_arguments)]
 pub fn run_capture_pipeline_with<I>(
     frames: I,
@@ -571,21 +619,13 @@ where
     I: Iterator<Item = TimedFrame> + Send,
 {
     assert!(n_workers > 0);
-    let mut stats = PipelineStats::default();
-    if opts
-        .faults
-        .as_ref()
-        .is_some_and(|plan| plan.crash_every > 0)
-    {
-        silence_injected_crashes();
-    }
 
     let trace_ctx = opts
         .trace
         .as_ref()
         .map(|t| TraceCtx::new(t, n_workers, 0, registry));
-    crossbeam::thread::scope(|scope| {
-        let (out_rx, producer, handles) = spawn_front(
+    let stats = crossbeam::thread::scope(|scope| {
+        let (out_rx, front) = spawn_front(
             scope,
             frames,
             n_workers,
@@ -600,15 +640,8 @@ where
             StageId::Reorder,
             trace_ctx.as_ref().map(|c| c.lane(lane_seq(n_workers), 0)),
         );
-        let sink = SinkTelemetry {
-            reorder_depth: registry.gauge("stage.reorder.depth"),
-            reorder_depth_hwm: registry.gauge("stage.reorder.depth_hwm"),
-            anonymize_ns: registry.histogram("stage.anonymize.service_ns"),
-            records: registry.counter("stage.sink.records_total"),
-            queries: registry.counter("stage.sink.queries_total"),
-            to_server: registry.counter("stage.sink.to_server_total"),
-            from_server: registry.counter("stage.sink.from_server_total"),
-        };
+        let sink = SinkTelemetry::new(registry);
+        let mut stats = PipelineStats::default();
         let cp_interval = opts.checkpoint_interval_us;
         let (skip, mut last_ts, mut next_cp) = match &opts.resume {
             Some(r) => (r.records, r.virtual_us, r.next_checkpoint_us),
@@ -617,99 +650,59 @@ where
         // Messages consumed since *stream* start, skipped ones included,
         // so checkpoint record counts agree between full and resumed runs.
         let mut consumed = 0u64;
-        let mut reorder: BTreeMap<u64, Option<DecodedMsg>> = BTreeMap::new();
-        let mut next_seq = 0u64;
-        let mut pt = seq_trace.begin();
-        while let Ok(batch) = out_rx.recv() {
-            let w0 = seq_trace.service_begin(&mut pt);
-            let items = batch.len() as u64;
-            for (seq, decoded) in batch {
-                reorder.insert(seq, decoded);
+        drain_reorder(&out_rx, registry, &seq_trace, last_ts, |d| {
+            if cp_interval > 0 && d.ts.0 >= next_cp {
+                // Cut *before* consuming this message: the state is
+                // exactly "everything through the previous message".
+                // During the resume skip phase this never fires: the
+                // restored boundary lies past every skipped message.
+                next_cp = (d.ts.0 / cp_interval + 1) * cp_interval;
+                seq_trace.event_dump(SpanKind::Checkpoint, "checkpoint", consumed as u32, last_ts);
+                on_checkpoint(PipelineCheckpoint {
+                    virtual_us: last_ts,
+                    next_checkpoint_us: next_cp,
+                    records: consumed,
+                    client_order: scheme.client_encoder().appearance_order(),
+                    file_order: scheme.file_encoder().appearance_order(),
+                    fig3_order: fig3.as_ref().map(|f| f.appearance_order()),
+                });
             }
-            while let Some(decoded) = reorder.remove(&next_seq) {
-                next_seq += 1;
-                let Some(d) = decoded else { continue };
-                if cp_interval > 0 && d.ts.0 >= next_cp {
-                    // Cut *before* consuming this message: the state is
-                    // exactly "everything through the previous message".
-                    // During the resume skip phase this never fires: the
-                    // restored boundary lies past every skipped message.
-                    next_cp = (d.ts.0 / cp_interval + 1) * cp_interval;
-                    seq_trace.event_dump(
-                        SpanKind::Checkpoint,
-                        "checkpoint",
-                        consumed as u32,
-                        last_ts,
-                    );
-                    on_checkpoint(PipelineCheckpoint {
-                        virtual_us: last_ts,
-                        next_checkpoint_us: next_cp,
-                        records: consumed,
-                        client_order: scheme.client_encoder().appearance_order(),
-                        file_order: scheme.file_encoder().appearance_order(),
-                        fig3_order: fig3.as_ref().map(|f| f.appearance_order()),
-                    });
-                }
-                consumed += 1;
-                last_ts = d.ts.0;
-                if consumed <= skip {
-                    // Resume replay: this message was already written by
-                    // the interrupted run and its effects live in the
-                    // restored anonymiser state. Touch nothing.
-                    continue;
-                }
-                match d.direction {
-                    Direction::ToServer => {
-                        stats.to_server += 1;
-                        sink.to_server.inc();
-                    }
-                    Direction::FromServer => {
-                        stats.from_server += 1;
-                        sink.from_server.inc();
-                    }
-                }
-                if let Some(fig3) = fig3.as_mut() {
-                    for id in message_file_ids(&d.msg) {
-                        fig3.anonymize(id);
-                    }
-                }
-                let t = sink.anonymize_ns.start();
-                let record = scheme.anonymize(d.ts.0, d.peer, &d.msg);
-                sink.anonymize_ns.record_since(t);
-                stats.records += 1;
-                sink.records.inc();
-                if record.msg.is_query() {
-                    stats.query_records += 1;
-                    sink.queries.inc();
-                }
-                on_record(record);
+            consumed += 1;
+            last_ts = d.ts.0;
+            if consumed <= skip {
+                // Resume replay: this message was already written by
+                // the interrupted run and its effects live in the
+                // restored anonymiser state. Touch nothing.
+                return;
             }
-            let depth = reorder.len() as i64;
-            sink.reorder_depth.set(depth);
-            if depth > sink.reorder_depth_hwm.get() {
-                sink.reorder_depth_hwm.set(depth);
+            match d.direction {
+                Direction::ToServer => {
+                    stats.to_server += 1;
+                    sink.to_server.inc();
+                }
+                Direction::FromServer => {
+                    stats.from_server += 1;
+                    sink.from_server.inc();
+                }
             }
-            seq_trace.service_end(&mut pt, depth as u32, last_ts, w0, items);
-        }
-        debug_assert!(reorder.is_empty(), "holes in the sequence space");
-
-        // etwlint: allow(no-panic-hot-path): join() only errs when the
-        // joined thread panicked; re-raising is panic propagation, not a
-        // new failure mode.
-        let (total_frames, shed_count) = producer.join().expect("producer panicked");
-        stats.frames = total_frames;
-        stats.shed = shed_count;
-        for h in handles {
-            // etwlint: allow(no-panic-hot-path): panic propagation, as above
-            let w = h.join().expect("worker panicked");
-            stats.not_udp += w.not_udp;
-            stats.other_port += w.other_port;
-            stats.parse_errors += w.parse_errors;
-            stats.udp_datagrams += w.udp_datagrams;
-            stats.fragmented_datagrams += w.fragmented_datagrams;
-            stats.decoder.merge(&w.decoder);
-            merge_reassembly(&mut stats.reassembly, &w.reassembly);
-        }
+            if let Some(fig3) = fig3.as_mut() {
+                for id in message_file_ids(&d.msg) {
+                    fig3.anonymize(id);
+                }
+            }
+            let t = sink.anonymize_ns.start();
+            let record = scheme.anonymize(d.ts.0, d.peer, &d.msg);
+            sink.anonymize_ns.record_since(t);
+            stats.records += 1;
+            sink.records.inc();
+            if record.msg.is_query() {
+                stats.query_records += 1;
+                sink.queries.inc();
+            }
+            on_record(record);
+        });
+        front.join(&mut stats);
+        stats
     })
     // etwlint: allow(no-panic-hot-path): crossbeam scope() errs only when
     // a child panicked; re-raising is panic propagation.
@@ -755,77 +748,44 @@ struct WriteTelemetry {
     flush_ns: Histogram,
 }
 
-/// Anonymises the staged run of messages as one batch and hands it to
-/// the formatter, recycling record buffers through `rec_pool`. The
-/// per-record counter touches of the serial tail are hoisted here into
-/// one `add` per batch, and `stage.anonymize.service_ns` is recorded
-/// once per batch. `dirs` carries the `(to_server, from_server)` split
-/// accumulated while staging. Returns `false` when the tail has shut
-/// down (the writer hit an io error); the caller then stops batching
-/// but keeps draining the decode stage so the front never stalls.
-#[allow(clippy::too_many_arguments)]
-fn flush_tail_batch(
-    staging: &mut Vec<DecodedMsg>,
-    scheme: &mut PaperScheme,
-    rec_pool: &crossbeam::channel::Receiver<Vec<AnonRecord>>,
-    fmt_tx: &MeteredSender<FormatItem>,
-    sink: &SinkTelemetry,
-    stats: &mut PipelineStats,
-    dirs: &mut (u64, u64),
-) -> bool {
-    if staging.is_empty() {
-        return true;
-    }
-    let mut recs = rec_pool
-        .try_recv()
-        .unwrap_or_else(|| Vec::with_capacity(staging.len()));
-    let t = sink.anonymize_ns.start();
-    let summary =
-        scheme.anonymize_batch(staging.iter().map(|d| (d.ts.0, d.peer, &d.msg)), &mut recs);
-    sink.anonymize_ns.record_since(t);
-    staging.clear();
-    stats.records += summary.records;
-    stats.query_records += summary.queries;
-    sink.records.add(summary.records);
-    sink.queries.add(summary.queries);
-    sink.to_server.add(dirs.0);
-    sink.from_server.add(dirs.1);
-    stats.to_server += dirs.0;
-    stats.from_server += dirs.1;
-    *dirs = (0, 0);
-    fmt_tx.send(FormatItem::Batch(recs)).is_ok()
-}
-
 /// [`run_capture_pipeline_with`] with the serial tail replaced by the
-/// batched, overlapped one. Four stages run concurrently downstream of
-/// the decode workers:
+/// batched, overlapped one. One body serves every
+/// [`TailConfig::anon_shards`]; the shard count only picks the
+/// anonymise back end the sequencer hands its batches to:
 ///
 /// ```text
-/// reorder ──► anonymise batches ──► format (zero-alloc encoder, ──► write (flush in
-///   (seq)     (stateful, seq)        reusable byte buffers)          sequence + stamp
-///                                                                    checkpoints)
+///                                                ┌─ S=1: anonymize_batch ────────────────┐
+/// reorder ─ord_in─► sequencer (cuts, resume, ─►──┤                                       ├─► format ─► write
+///  (seq)            directions, staging)         └─ S>1: visit ─► shards ─► assemble ────┘
 /// ```
 ///
-/// * The reorder stage restores capture order from the decode workers'
-///   out-of-order completions and forwards ordered runs of decoded
-///   messages over the metered `ord_in` channel, so the only work left
-///   on the serial drain path is a `BTreeMap` insert/remove.
-/// * The anonymiser stage owns the encoder state: it counts consumed
-///   messages (checkpoint cuts, resume replay), stages
-///   [`TailConfig::batch_records`] messages, anonymises each run with
-///   [`PaperScheme::anonymize_batch`] (per-record telemetry hoisted into
-///   per-batch aggregates) and sends the batch over the metered
-///   `fmt_in` channel.
+/// * The reorder stage (the calling thread) restores capture order from
+///   the decode workers' out-of-order completions and forwards ordered
+///   runs of decoded messages over the metered `ord_in` channel, so the
+///   only work on the serial drain path is a `BTreeMap` insert/remove.
+/// * The sequencer thread owns the consumed-message count: it cuts
+///   checkpoints, skips the resume replay, keeps draining when the
+///   writer has failed, books directions and the Fig. 3 tracker, and
+///   stages [`TailConfig::batch_records`] messages per batch.
+/// * The back end at `anon_shards = 1` anonymises each staged batch
+///   with [`PaperScheme::anonymize_batch`] on the sequencer thread and
+///   sends the records over the metered `fmt_in` channel. At
+///   `anon_shards > 1` it runs the visit pass ([`collect_ids`]) and fans
+///   the batch out to the shard workers (clientIDs split by low id bits,
+///   fileIDs by low bucket-index bits, see [`etw_anonymize::shard`]);
+///   the assembler gathers every shard's resolutions in batch order,
+///   remaps striped provisionals to global appearance orders and
+///   constructs records in place before `fmt_in`.
 /// * The formatter renders each batch into a recycled byte buffer with
 ///   [`encode::encode_batch`] — byte-identical to
 ///   [`DatasetWriter::write_record`], zero heap allocations per record
 ///   in steady state — reporting under `stage.format.*`.
 /// * The writer flushes completed buffers strictly in sequence through
 ///   [`DatasetWriter::write_encoded`] (`stage.write.*`), so the output
-///   is byte-identical to the serial tail and `.etwckpt` offsets stay
-///   valid: a checkpoint cut travels through both queues as a marker
-///   and `on_checkpoint` fires on the writer thread with
-///   [`DatasetWriter::bytes_written`] at exactly the cut's offset.
+///   is byte-identical to the serial tail at every shard count and
+///   `.etwckpt` offsets stay valid: a checkpoint cut travels through the
+///   queues as a marker and `on_checkpoint` fires on the writer thread
+///   with [`DatasetWriter::bytes_written`] at exactly the cut's offset.
 ///
 /// Checkpoint cuts flush the staged run first, so the captured encoder
 /// state covers precisely "everything before the boundary message", as
@@ -835,7 +795,7 @@ fn flush_tail_batch(
 pub fn run_capture_pipeline_batched<I, W>(
     frames: I,
     n_workers: usize,
-    mut scheme: PaperScheme,
+    scheme: PaperScheme,
     mut fig3: Option<BucketedArrays>,
     registry: &Registry,
     opts: &PipelineOptions,
@@ -859,34 +819,13 @@ where
         "anon_shards must be a power of two in 1..={MAX_SHARDS}, got {}",
         tail.anon_shards
     );
-    if tail.anon_shards > 1 {
-        return run_capture_pipeline_sharded(
-            frames,
-            n_workers,
-            scheme,
-            fig3,
-            registry,
-            opts,
-            tail,
-            writer,
-            on_checkpoint,
-        );
-    }
-    let mut stats = PipelineStats::default();
-    if opts
-        .faults
-        .as_ref()
-        .is_some_and(|plan| plan.crash_every > 0)
-    {
-        silence_injected_crashes();
-    }
 
     let trace_ctx = opts
         .trace
         .as_ref()
-        .map(|t| TraceCtx::new(t, n_workers, 0, registry));
-    let (writer, io_err, scheme, fig3) = crossbeam::thread::scope(|scope| {
-        let (out_rx, producer, handles) = spawn_front(
+        .map(|t| TraceCtx::new(t, n_workers, tail.anon_shards, registry));
+    let (stats, scheme, fig3, writer, io_err) = crossbeam::thread::scope(|scope| {
+        let (out_rx, front) = spawn_front(
             scope,
             frames,
             n_workers,
@@ -894,6 +833,7 @@ where
             opts.faults.clone(),
             trace_ctx.clone(),
         );
+        let lane = |index: usize| trace_ctx.as_ref().map(|c| c.lane(index, 0));
 
         // Tail plumbing: batches flow seq → format → write over metered
         // channels; emptied buffers flow back through unmetered pools so
@@ -909,9 +849,12 @@ where
         let (rec_pool_tx, rec_pool_rx) = crossbeam::channel::bounded::<Vec<AnonRecord>>(pool_cap);
         // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
         let (buf_pool_tx, buf_pool_rx) = crossbeam::channel::bounded::<Vec<u8>>(pool_cap);
+        // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
+        let (msg_pool_tx, msg_pool_rx) = crossbeam::channel::bounded::<Vec<DecodedMsg>>(pool_cap);
         for _ in 0..pool_cap {
             let _ = rec_pool_tx.try_send(Vec::with_capacity(tail.batch_records));
             let _ = buf_pool_tx.try_send(Vec::with_capacity(tail.batch_records * 64));
+            let _ = msg_pool_tx.try_send(Vec::with_capacity(tail.batch_records));
         }
 
         let formatter = spawn_tail_formatter(
@@ -919,12 +862,10 @@ where
             registry,
             fmt_rx,
             write_tx,
-            rec_pool_tx.clone(),
+            rec_pool_tx,
             buf_pool_rx,
-            true,
-            trace_ctx
-                .as_ref()
-                .map(|c| c.lane(lane_format(n_workers), 0)),
+            tail.anon_shards == 1,
+            lane(lane_format(n_workers)),
         );
         let writer_thread = spawn_tail_writer(
             scope,
@@ -933,240 +874,152 @@ where
             buf_pool_tx,
             writer,
             on_checkpoint,
-            trace_ctx.as_ref().map(|c| c.lane(lane_write(n_workers), 0)),
+            lane(lane_write(n_workers)),
         );
+        let mut backend = if tail.anon_shards == 1 {
+            AnonBackend::Serial {
+                scheme,
+                rec_pool: rec_pool_rx,
+                fmt_tx,
+            }
+        } else {
+            AnonBackend::Sharded(ShardPool::spawn(
+                scope,
+                scheme,
+                tail,
+                registry,
+                trace_ctx.as_ref(),
+                n_workers,
+                fmt_tx,
+                rec_pool_rx,
+            ))
+        };
 
-        // Ordered runs flow reorder → anonymiser over `ord_in`; the
-        // emptied chunk vectors recycle back through a pool so the
-        // serial drain path never allocates in steady state.
+        // Sequencer: owns the consumed-record count (checkpoint cuts,
+        // resume replay), the direction and Fig. 3 accounting and the
+        // staging buffer; hands each staged run and each cut to the
+        // back end. Running it off the reorder thread shortens the
+        // serial drain path to the BTreeMap insert/remove.
         let (ord_tx, ord_rx) =
             metered_bounded::<Vec<DecodedMsg>>(tail.batch_queue, registry, "ord_in");
-        // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
-        let (msg_pool_tx, msg_pool_rx) = crossbeam::channel::bounded::<Vec<DecodedMsg>>(pool_cap);
-        for _ in 0..pool_cap {
-            let _ = msg_pool_tx.try_send(Vec::with_capacity(tail.batch_records));
-        }
-
-        // Anonymiser stage: owns the encoder state, the consumed-record
-        // count (checkpoint cuts, resume replay) and the staging buffer.
-        // Formerly fused with the reorder loop; hoisting it off the
-        // serial drain path shortens the batched tail's critical section
-        // to the BTreeMap insert/remove (carried ROADMAP item from PR 5).
-        let anon_trace = StageTrace::new(
-            registry,
-            StageId::Anonymize,
-            trace_ctx.as_ref().map(|c| c.lane(lane_anon(n_workers), 0)),
-        );
-        let sink = SinkTelemetry {
-            reorder_depth: registry.gauge("stage.reorder.depth"),
-            reorder_depth_hwm: registry.gauge("stage.reorder.depth_hwm"),
-            anonymize_ns: registry.histogram("stage.anonymize.service_ns"),
-            records: registry.counter("stage.sink.records_total"),
-            queries: registry.counter("stage.sink.queries_total"),
-            to_server: registry.counter("stage.sink.to_server_total"),
-            from_server: registry.counter("stage.sink.from_server_total"),
-        };
+        let anon_trace = StageTrace::new(registry, StageId::Anonymize, lane(lane_anon(n_workers)));
+        let sink = SinkTelemetry::new(registry);
         let cp_interval = opts.checkpoint_interval_us;
         let (skip, resume_ts, resume_cp) = match &opts.resume {
             Some(r) => (r.records, r.virtual_us, r.next_checkpoint_us),
             None => (0, 0, cp_interval),
         };
-        let anonymizer = {
-            scope.spawn(move |_| {
-                let mut stats = PipelineStats::default();
-                let mut last_ts = resume_ts;
-                let mut next_cp = resume_cp;
-                let mut consumed = 0u64;
-                let mut staging: Vec<DecodedMsg> = Vec::with_capacity(tail.batch_records);
-                let mut dirs = (0u64, 0u64);
-                let mut tail_failed = false;
-                let mut pt = anon_trace.begin();
-                while let Ok(mut chunk) = ord_rx.recv() {
-                    let w0 = anon_trace.service_begin(&mut pt);
-                    let items = chunk.len() as u64;
-                    for d in chunk.drain(..) {
-                        if cp_interval > 0 && d.ts.0 >= next_cp {
-                            // Cut *before* consuming this message. The
-                            // staged run is flushed first so the orders
-                            // captured below cover exactly "everything
-                            // before the boundary", and the marker rides
-                            // the same ordered queues, so the writer
-                            // stamps it at exactly that offset.
-                            next_cp = (d.ts.0 / cp_interval + 1) * cp_interval;
-                            anon_trace.event_dump(
-                                SpanKind::Checkpoint,
-                                "checkpoint",
-                                consumed as u32,
-                                last_ts,
-                            );
-                            if !tail_failed {
-                                tail_failed = !flush_tail_batch(
-                                    &mut staging,
-                                    &mut scheme,
-                                    &rec_pool_rx,
-                                    &fmt_tx,
-                                    &sink,
-                                    &mut stats,
-                                    &mut dirs,
-                                );
-                            }
-                            if !tail_failed {
-                                tail_failed = fmt_tx
-                                    .send(FormatItem::Checkpoint(PipelineCheckpoint {
-                                        virtual_us: last_ts,
-                                        next_checkpoint_us: next_cp,
-                                        records: consumed,
-                                        client_order: scheme.client_encoder().appearance_order(),
-                                        file_order: scheme.file_encoder().appearance_order(),
-                                        fig3_order: fig3.as_ref().map(|f| f.appearance_order()),
-                                    }))
-                                    .is_err();
-                            }
-                        }
-                        consumed += 1;
-                        last_ts = d.ts.0;
-                        if consumed <= skip {
-                            // Resume replay: already written by the
-                            // interrupted run; its effects live in the
-                            // restored state.
-                            continue;
-                        }
-                        if tail_failed {
-                            // Writer is gone: keep consuming so the
-                            // reorder stage drains instead of
-                            // deadlocking the producer.
-                            continue;
-                        }
-                        match d.direction {
-                            Direction::ToServer => dirs.0 += 1,
-                            Direction::FromServer => dirs.1 += 1,
-                        }
-                        if let Some(fig3) = fig3.as_mut() {
-                            for id in message_file_ids(&d.msg) {
-                                fig3.anonymize(id);
-                            }
-                        }
-                        staging.push(d);
-                        if staging.len() >= tail.batch_records {
-                            tail_failed = !flush_tail_batch(
-                                &mut staging,
-                                &mut scheme,
-                                &rec_pool_rx,
-                                &fmt_tx,
-                                &sink,
-                                &mut stats,
-                                &mut dirs,
-                            );
+        let sequencer = scope.spawn(move |_| {
+            let mut stats = PipelineStats::default();
+            let mut last_ts = resume_ts;
+            let mut next_cp = resume_cp;
+            let mut consumed = 0u64;
+            let mut staging: Vec<DecodedMsg> = Vec::with_capacity(tail.batch_records);
+            let mut dirs = (0u64, 0u64);
+            let mut tail_failed = false;
+            let mut pt = anon_trace.begin();
+            while let Ok(mut chunk) = ord_rx.recv() {
+                let w0 = anon_trace.service_begin(&mut pt);
+                let items = chunk.len() as u64;
+                for d in chunk.drain(..) {
+                    if cp_interval > 0 && d.ts.0 >= next_cp {
+                        // Cut *before* consuming this message. The staged
+                        // run is flushed first so the orders captured for
+                        // the cut cover exactly "everything before the
+                        // boundary", and the marker rides the same
+                        // ordered queues, so the writer stamps it at
+                        // exactly that offset.
+                        next_cp = (d.ts.0 / cp_interval + 1) * cp_interval;
+                        anon_trace.event_dump(
+                            SpanKind::Checkpoint,
+                            "checkpoint",
+                            consumed as u32,
+                            last_ts,
+                        );
+                        if !tail_failed {
+                            tail_failed =
+                                !backend.flush(&mut staging, &mut dirs, &sink, &mut stats)
+                                    || !backend.cut(
+                                        last_ts,
+                                        next_cp,
+                                        consumed,
+                                        fig3.as_ref().map(|f| f.appearance_order()),
+                                    );
                         }
                     }
-                    let _ = msg_pool_tx.try_send(chunk);
-                    anon_trace.service_end(&mut pt, staging.len() as u32, last_ts, w0, items);
+                    consumed += 1;
+                    last_ts = d.ts.0;
+                    if consumed <= skip || tail_failed {
+                        // Resume replay: already written by the
+                        // interrupted run, its effects live in the
+                        // restored state. Or the tail is gone: keep
+                        // consuming so the reorder stage drains instead
+                        // of deadlocking the producer.
+                        continue;
+                    }
+                    match d.direction {
+                        Direction::ToServer => dirs.0 += 1,
+                        Direction::FromServer => dirs.1 += 1,
+                    }
+                    if let Some(fig3) = fig3.as_mut() {
+                        for id in message_file_ids(&d.msg) {
+                            fig3.anonymize(id);
+                        }
+                    }
+                    staging.push(d);
+                    if staging.len() >= tail.batch_records {
+                        tail_failed = !backend.flush(&mut staging, &mut dirs, &sink, &mut stats);
+                    }
                 }
-                if !tail_failed {
-                    // Final partial batch.
-                    flush_tail_batch(
-                        &mut staging,
-                        &mut scheme,
-                        &rec_pool_rx,
-                        &fmt_tx,
-                        &sink,
-                        &mut stats,
-                        &mut dirs,
-                    );
-                }
-                drop(fmt_tx);
-                (scheme, fig3, stats)
-            })
-        };
+                let _ = msg_pool_tx.try_send(chunk);
+                anon_trace.service_end(&mut pt, staging.len() as u32, last_ts, w0, items);
+            }
+            if !tail_failed {
+                // Final partial batch.
+                backend.flush(&mut staging, &mut dirs, &sink, &mut stats);
+            }
+            (stats, backend.finish(), fig3)
+        });
 
-        // Reorder stage: restore sequence order, forward ordered runs.
-        // This loop is the batched tail's only remaining serial section,
-        // so it does nothing but the reorder-buffer drain and the chunk
-        // hand-off.
-        let seq_trace = StageTrace::new(
-            registry,
-            StageId::Reorder,
-            trace_ctx.as_ref().map(|c| c.lane(lane_seq(n_workers), 0)),
-        );
-        let reorder_depth = registry.gauge("stage.reorder.depth");
-        let reorder_depth_hwm = registry.gauge("stage.reorder.depth_hwm");
-        let mut reorder: BTreeMap<u64, Option<DecodedMsg>> = BTreeMap::new();
-        let mut next_seq = 0u64;
-        let mut seen_ts = resume_ts;
+        // Reorder stage, on this thread: forward ordered runs.
+        let seq_trace = StageTrace::new(registry, StageId::Reorder, lane(lane_seq(n_workers)));
+        let fresh_chunk = || {
+            msg_pool_rx
+                .try_recv()
+                .unwrap_or_else(|| Vec::with_capacity(tail.batch_records))
+        };
+        let mut chunk = fresh_chunk();
         let mut ord_failed = false;
-        let mut chunk: Vec<DecodedMsg> = msg_pool_rx
-            .try_recv()
-            .unwrap_or_else(|| Vec::with_capacity(tail.batch_records));
-        let mut pt = seq_trace.begin();
-        while let Ok(batch) = out_rx.recv() {
-            let w0 = seq_trace.service_begin(&mut pt);
-            let items = batch.len() as u64;
-            for (seq, decoded) in batch {
-                reorder.insert(seq, decoded);
+        drain_reorder(&out_rx, registry, &seq_trace, resume_ts, |d| {
+            if ord_failed {
+                // The sequencer is gone (it only exits after `ord_in`
+                // closes or a panic): keep consuming so the decode front
+                // drains instead of deadlocking the producer.
+                return;
             }
-            while let Some(decoded) = reorder.remove(&next_seq) {
-                next_seq += 1;
-                let Some(d) = decoded else { continue };
-                seen_ts = d.ts.0;
-                if ord_failed {
-                    // Anonymiser is gone (it only exits after `ord_in`
-                    // closes or a panic): keep consuming so the decode
-                    // front drains instead of deadlocking the producer.
-                    continue;
-                }
-                chunk.push(d);
-                if chunk.len() >= tail.batch_records {
-                    let full = std::mem::replace(
-                        &mut chunk,
-                        msg_pool_rx
-                            .try_recv()
-                            .unwrap_or_else(|| Vec::with_capacity(tail.batch_records)),
-                    );
-                    ord_failed = ord_tx.send(full).is_err();
-                }
+            chunk.push(d);
+            if chunk.len() >= tail.batch_records {
+                let full = std::mem::replace(&mut chunk, fresh_chunk());
+                ord_failed = ord_tx.send(full).is_err();
             }
-            let depth = reorder.len() as i64;
-            reorder_depth.set(depth);
-            if depth > reorder_depth_hwm.get() {
-                reorder_depth_hwm.set(depth);
-            }
-            seq_trace.service_end(&mut pt, depth as u32, seen_ts, w0, items);
-        }
-        debug_assert!(reorder.is_empty(), "holes in the sequence space");
+        });
         if !ord_failed && !chunk.is_empty() {
             let _ = ord_tx.send(chunk);
         }
         drop(ord_tx);
 
+        // Shutdown order follows the data: sequencer (which closes the
+        // back end), formatter, writer, then the front.
         // etwlint: allow(no-panic-hot-path): join() only errs when the
         // joined thread panicked; re-raising is panic propagation, not a
         // new failure mode.
-        let (scheme, fig3, anon_stats) = anonymizer.join().expect("anonymizer panicked");
-        stats.records += anon_stats.records;
-        stats.query_records += anon_stats.query_records;
-        stats.to_server += anon_stats.to_server;
-        stats.from_server += anon_stats.from_server;
-
+        let (mut stats, scheme, fig3) = sequencer.join().expect("sequencer panicked");
         // etwlint: allow(no-panic-hot-path): panic propagation, as above
         formatter.join().expect("formatter panicked");
         // etwlint: allow(no-panic-hot-path): panic propagation, as above
         let (w, io_err) = writer_thread.join().expect("writer panicked");
-        // etwlint: allow(no-panic-hot-path): panic propagation, as above
-        let (total_frames, shed_count) = producer.join().expect("producer panicked");
-        stats.frames = total_frames;
-        stats.shed = shed_count;
-        for h in handles {
-            // etwlint: allow(no-panic-hot-path): panic propagation, as above
-            let worker = h.join().expect("worker panicked");
-            stats.not_udp += worker.not_udp;
-            stats.other_port += worker.other_port;
-            stats.parse_errors += worker.parse_errors;
-            stats.udp_datagrams += worker.udp_datagrams;
-            stats.fragmented_datagrams += worker.fragmented_datagrams;
-            stats.decoder.merge(&worker.decoder);
-            merge_reassembly(&mut stats.reassembly, &worker.reassembly);
-        }
-        (w, io_err, scheme, fig3)
+        front.join(&mut stats);
+        (stats, scheme, fig3, w, io_err)
     })
     // etwlint: allow(no-panic-hot-path): crossbeam scope() errs only when
     // a child panicked; re-raising is panic propagation.
@@ -1178,11 +1031,133 @@ where
     }
 }
 
+/// Where the batched tail's sequencer sends each staged run and each
+/// checkpoint cut: the only part of the tail that depends on
+/// [`TailConfig::anon_shards`].
+enum AnonBackend<'scope> {
+    /// `anon_shards = 1`: the serial scheme anonymises on the sequencer
+    /// thread and records go straight to the formatter.
+    Serial {
+        scheme: PaperScheme,
+        rec_pool: crossbeam::channel::Receiver<Vec<AnonRecord>>,
+        fmt_tx: MeteredSender<FormatItem>,
+    },
+    /// `anon_shards > 1`: visit pass here, resolution in the shard pool,
+    /// records from the assembler.
+    Sharded(ShardPool<'scope>),
+}
+
+impl AnonBackend<'_> {
+    /// Hands the staged run downstream and books it under `stage.sink.*`;
+    /// `dirs` is its `(to_server, from_server)` split. Both are left
+    /// empty for the next run. The per-record counter touches of the
+    /// serial tail are hoisted into one `add` per batch, and
+    /// `stage.anonymize.service_ns` is recorded once per batch. Returns
+    /// `false` once the tail downstream has shut down.
+    fn flush(
+        &mut self,
+        staging: &mut Vec<DecodedMsg>,
+        dirs: &mut (u64, u64),
+        sink: &SinkTelemetry,
+        stats: &mut PipelineStats,
+    ) -> bool {
+        if staging.is_empty() {
+            return true;
+        }
+        let records = staging.len() as u64;
+        let dirs = std::mem::take(dirs);
+        match self {
+            AnonBackend::Serial {
+                scheme,
+                rec_pool,
+                fmt_tx,
+            } => {
+                let mut recs = rec_pool
+                    .try_recv()
+                    .unwrap_or_else(|| Vec::with_capacity(staging.len()));
+                let t = sink.anonymize_ns.start();
+                let summary = scheme
+                    .anonymize_batch(staging.iter().map(|d| (d.ts.0, d.peer, &d.msg)), &mut recs);
+                sink.anonymize_ns.record_since(t);
+                staging.clear();
+                sink.book(stats, records, summary.queries, dirs);
+                fmt_tx.send(FormatItem::Batch(recs)).is_ok()
+            }
+            AnonBackend::Sharded(pool) => {
+                let mut batch = pool.batch_pool.try_recv().unwrap_or_default();
+                batch.msgs.clear();
+                batch.client_ids.clear();
+                batch.file_ids.clear();
+                let mut queries = 0u64;
+                let t = sink.anonymize_ns.start();
+                for d in staging.iter() {
+                    queries += u64::from(d.msg.is_client_to_server());
+                    collect_ids(d.peer, &d.msg, &mut batch.client_ids, &mut batch.file_ids);
+                }
+                sink.anonymize_ns.record_since(t);
+                // The batch takes the staged messages; staging takes the
+                // recycled (empty) message buffer.
+                std::mem::swap(&mut batch.msgs, staging);
+                sink.book(stats, records, queries, dirs);
+                batch.seq = pool.next_seq;
+                pool.next_seq += 1;
+                let arc = Arc::new(batch);
+                for (tx, depth) in &pool.txs {
+                    if tx.send(arc.clone()).is_err() {
+                        return false;
+                    }
+                    depth.add(1);
+                }
+                pool.asm_tx.send(AsmItem::Batch(arc)).is_ok()
+            }
+        }
+    }
+
+    /// Sends a checkpoint cut downstream, after [`flush`](Self::flush)
+    /// has handed over everything before it. The serial back end fills
+    /// in its own appearance orders; the sharded one leaves that to the
+    /// assembler, which owns the global orders. Returns `false` once the
+    /// tail downstream has shut down.
+    fn cut(
+        &self,
+        virtual_us: u64,
+        next_checkpoint_us: u64,
+        records: u64,
+        fig3_order: Option<Vec<FileId>>,
+    ) -> bool {
+        let mut cp = PipelineCheckpoint {
+            virtual_us,
+            next_checkpoint_us,
+            records,
+            client_order: Vec::new(),
+            file_order: Vec::new(),
+            fig3_order,
+        };
+        match self {
+            AnonBackend::Serial { scheme, fmt_tx, .. } => {
+                cp.client_order = scheme.client_encoder().appearance_order();
+                cp.file_order = scheme.file_encoder().appearance_order();
+                fmt_tx.send(FormatItem::Checkpoint(cp)).is_ok()
+            }
+            AnonBackend::Sharded(pool) => pool.asm_tx.send(AsmItem::Checkpoint(cp)).is_ok(),
+        }
+    }
+
+    /// Closes the back end's queues, so every stage downstream drains and
+    /// exits, and returns the final anonymiser state.
+    fn finish(self) -> PaperScheme {
+        match self {
+            AnonBackend::Serial { scheme, .. } => scheme,
+            AnonBackend::Sharded(pool) => pool.finish(),
+        }
+    }
+}
+
 /// Spawns the formatter stage: renders record batches into recycled byte
 /// buffers with the zero-alloc encoder and forwards them (and checkpoint
 /// markers) to the writer in order. With `clear_records` the emptied
 /// record vectors go back to the pool cleared (the serial-anonymiser
-/// tail); without it they keep their contents, because the sharded
+/// back end); without it they keep their contents, because the sharded
 /// assembler overwrites records in place and the stale records *are* its
 /// allocation pool.
 #[allow(clippy::too_many_arguments)]
@@ -1306,6 +1281,7 @@ where
 /// shards scan plain arrays instead of message trees. Shared by `Arc`:
 /// each shard reads it, the assembler reads it last and reclaims the
 /// buffers.
+#[derive(Default)]
 struct ShardBatch {
     /// Batch sequence number (assembler matches shard results to it).
     seq: u64,
@@ -1330,100 +1306,61 @@ type ResPool = std::sync::Arc<std::sync::Mutex<Vec<ResVecs>>>;
 
 /// Work for the assembler, in strict capture order.
 enum AsmItem {
-    Batch(std::sync::Arc<ShardBatch>),
-    /// A checkpoint cut; the assembler owns the appearance orders, so it
-    /// fills them in and forwards the completed checkpoint down the
-    /// ordered queues.
-    Checkpoint {
-        virtual_us: u64,
-        next_checkpoint_us: u64,
-        records: u64,
-        fig3_order: Option<Vec<FileId>>,
-    },
+    Batch(Arc<ShardBatch>),
+    /// A checkpoint cut; the assembler owns the global appearance
+    /// orders, so it fills them in and forwards the cut down the ordered
+    /// queues.
+    Checkpoint(PipelineCheckpoint),
 }
 
-/// The sharded tail (`TailConfig::anon_shards > 1`): the sequential
-/// stage runs the visit pass per staged batch and fans the batch out to
-/// `anon_shards` shard workers (clientIDs split by low id bits, fileIDs
-/// by low bucket-index bits, see [`etw_anonymize::shard`]); the
-/// assembler gathers every shard's resolutions in batch order, remaps
-/// striped provisionals to global appearance orders, constructs records
-/// with allocation reuse, and feeds the same formatter/writer stages as
-/// the serial-anonymiser tail. Output and checkpoints are byte-identical
-/// to [`run_capture_pipeline_batched`] at `anon_shards = 1`.
-///
-/// ```text
-///                      ┌► shard 0 ─┐
-/// reorder ─► visit ────┼► ...      ├─► assemble ─► format ─► write
-///   (seq)    (ids)     └► shard S ─┘   (remap +
-///                 └────────────────────► construct, seq)
-/// ```
-#[allow(clippy::too_many_arguments)]
-fn run_capture_pipeline_sharded<I, W>(
-    frames: I,
-    n_workers: usize,
-    scheme: PaperScheme,
-    mut fig3: Option<BucketedArrays>,
-    registry: &Registry,
-    opts: &PipelineOptions,
-    tail: TailConfig,
-    writer: DatasetWriter<W>,
-    on_checkpoint: impl FnMut(PipelineCheckpoint, u64) + Send,
-) -> io::Result<(
-    PipelineStats,
-    PaperScheme,
-    Option<BucketedArrays>,
-    DatasetWriter<W>,
-)>
-where
-    I: Iterator<Item = TimedFrame> + Send,
-    W: Write + Send,
-{
-    let n_shards = tail.anon_shards;
-    let width_bits = scheme.client_encoder().width_bits();
-    let selector = scheme.file_encoder().selector();
-    // Split the (possibly checkpoint-restored) serial encoder state into
-    // shard + assembler state by replaying the appearance orders.
-    let client_order = scheme.client_encoder().appearance_order();
-    let file_order = scheme.file_encoder().appearance_order();
-    let (shard_sets, assembler) =
-        build_sharded(width_bits, selector, n_shards, &client_order, &file_order);
-    drop(scheme);
+/// The `anon_shards > 1` back end: the sequencer's handles into the
+/// shard workers and the assembler, and what it needs to shut them down
+/// and rebuild a serial-equivalent scheme.
+struct ShardPool<'scope> {
+    /// Each shard's input queue with its `anon.shard<s>.queue_depth`.
+    txs: Vec<(MeteredSender<Arc<ShardBatch>>, Gauge)>,
+    asm_tx: MeteredSender<AsmItem>,
+    /// Batches the assembler is done with, for reuse.
+    batch_pool: crossbeam::channel::Receiver<ShardBatch>,
+    /// Sequence number of the next batch fanned out.
+    next_seq: u64,
+    workers: Vec<crossbeam::thread::ScopedJoinHandle<'scope, ShardSet>>,
+    assembler: crossbeam::thread::ScopedJoinHandle<'scope, Assembler>,
+    width_bits: u32,
+    selector: ByteSelector,
+    registry: Registry,
+}
 
-    let mut stats = PipelineStats::default();
-    if opts
-        .faults
-        .as_ref()
-        .is_some_and(|plan| plan.crash_every > 0)
-    {
-        silence_injected_crashes();
-    }
-    let trace_ctx = opts
-        .trace
-        .as_ref()
-        .map(|t| TraceCtx::new(t, n_workers, n_shards, registry));
-    let (writer, io_err, asm) = crossbeam::thread::scope(|scope| {
-        let (out_rx, producer, handles) = spawn_front(
-            scope,
-            frames,
-            n_workers,
-            registry,
-            opts.faults.clone(),
-            trace_ctx.clone(),
+impl<'scope> ShardPool<'scope> {
+    /// Splits `scheme` (possibly checkpoint-restored) into shard and
+    /// assembler state by replaying its appearance orders, then spawns
+    /// `tail.anon_shards` shard workers and the assembler, which feeds
+    /// `fmt_tx` with records built in the vectors of `rec_pool`.
+    #[allow(clippy::too_many_arguments)]
+    fn spawn<'env>(
+        scope: &crossbeam::thread::Scope<'scope, 'env>,
+        scheme: PaperScheme,
+        tail: TailConfig,
+        registry: &Registry,
+        trace_ctx: Option<&Arc<TraceCtx>>,
+        n_workers: usize,
+        fmt_tx: MeteredSender<FormatItem>,
+        rec_pool: crossbeam::channel::Receiver<Vec<AnonRecord>>,
+    ) -> ShardPool<'scope> {
+        let n_shards = tail.anon_shards;
+        let width_bits = scheme.client_encoder().width_bits();
+        let selector = scheme.file_encoder().selector();
+        let (shard_sets, assembler) = build_sharded(
+            width_bits,
+            selector,
+            n_shards,
+            &scheme.client_encoder().appearance_order(),
+            &scheme.file_encoder().appearance_order(),
         );
+        drop(scheme);
 
-        // Tail plumbing. Metered, bounded work queues; unmetered bounded
-        // pool channels flow emptied buffers back upstream so steady
-        // state reuses the same allocations forever.
         let pool_cap = tail.batch_queue + 2;
-        let (fmt_tx, fmt_rx) = metered_bounded::<FormatItem>(tail.batch_queue, registry, "fmt_in");
-        let (write_tx, write_rx) =
-            metered_bounded::<WriteItem>(tail.batch_queue, registry, "write_in");
         // etwlint: allow(no-unbounded-channel): bounded recycling pool, not a work queue — try_send/try_recv only, never blocks
-        let (rec_pool_tx, rec_pool_rx) = crossbeam::channel::bounded::<Vec<AnonRecord>>(pool_cap);
-        // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
-        let (buf_pool_tx, buf_pool_rx) = crossbeam::channel::bounded::<Vec<u8>>(pool_cap);
-        // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
         let (batch_pool_tx, batch_pool_rx) = crossbeam::channel::bounded::<ShardBatch>(pool_cap);
         // The resolution-vector pool is shared by all shard workers, so
         // it is a mutexed free-list rather than a channel (the channel
@@ -1432,32 +1369,6 @@ where
         // moves.
         let res_pool: ResPool =
             std::sync::Arc::new(std::sync::Mutex::new(Vec::with_capacity(2 * n_shards + 2)));
-        for _ in 0..pool_cap {
-            let _ = rec_pool_tx.try_send(Vec::with_capacity(tail.batch_records));
-            let _ = buf_pool_tx.try_send(Vec::with_capacity(tail.batch_records * 64));
-        }
-
-        let formatter = spawn_tail_formatter(
-            scope,
-            registry,
-            fmt_rx,
-            write_tx,
-            rec_pool_tx.clone(),
-            buf_pool_rx,
-            false,
-            trace_ctx
-                .as_ref()
-                .map(|c| c.lane(lane_format(n_workers), 0)),
-        );
-        let writer_thread = spawn_tail_writer(
-            scope,
-            registry,
-            write_rx,
-            buf_pool_tx,
-            writer,
-            on_checkpoint,
-            trace_ctx.as_ref().map(|c| c.lane(lane_write(n_workers), 0)),
-        );
 
         // Shard pool: every worker owns a disjoint slice of both id
         // spaces and resolves each batch independently — no shared
@@ -1469,16 +1380,13 @@ where
         let shard_cids = registry.counter("anon.shard.client_ids_total");
         let shard_fids = registry.counter("anon.shard.file_ids_total");
         let shard_ns = registry.histogram("stage.shard.service_ns");
-        let mut shard_txs = Vec::with_capacity(n_shards);
-        let mut shard_handles = Vec::with_capacity(n_shards);
+        let mut txs = Vec::with_capacity(n_shards);
+        let mut workers = Vec::with_capacity(n_shards);
         for (sindex, mut set) in shard_sets.into_iter().enumerate() {
-            let (tx, rx) = metered_bounded::<std::sync::Arc<ShardBatch>>(
-                tail.batch_queue,
-                registry,
-                "shard_in",
-            );
+            let (tx, rx) =
+                metered_bounded::<Arc<ShardBatch>>(tail.batch_queue, registry, "shard_in");
             let lane_metrics = shard_lane_metrics(registry, sindex);
-            shard_txs.push((tx, lane_metrics.queue_depth.clone()));
+            txs.push((tx, lane_metrics.queue_depth.clone()));
             let out = shard_out_tx.clone();
             let res_pool = res_pool.clone();
             let (batches, cids, fids, ns) = (
@@ -1490,11 +1398,9 @@ where
             let trace = StageTrace::new(
                 registry,
                 StageId::Shard,
-                trace_ctx
-                    .as_ref()
-                    .map(|c| c.lane(lane_shard(n_workers, sindex), sindex as u16)),
+                trace_ctx.map(|c| c.lane(lane_shard(n_workers, sindex), sindex as u16)),
             );
-            shard_handles.push(scope.spawn(move |_| {
+            workers.push(scope.spawn(move |_| {
                 let mut pt = trace.begin();
                 while let Ok(batch) = rx.recv() {
                     lane_metrics.queue_depth.add(-1);
@@ -1543,11 +1449,9 @@ where
         let asm_trace = StageTrace::new(
             registry,
             StageId::Assemble,
-            trace_ctx
-                .as_ref()
-                .map(|c| c.lane(lane_assemble(n_workers), 0)),
+            trace_ctx.map(|c| c.lane(lane_assemble(n_workers), 0)),
         );
-        let asm_thread = scope.spawn(move |_| {
+        let assembler = scope.spawn(move |_| {
             let mut asm = assembler;
             let mut stash: BTreeMap<u64, Vec<ShardResult>> = BTreeMap::new();
             let mut failed = false;
@@ -1582,7 +1486,7 @@ where
                         // The pooled record vector keeps its previous
                         // batch's records: construct overwrites them in
                         // place (see anonymize_batch_reuse).
-                        let mut recs = rec_pool_rx.try_recv().unwrap_or_default();
+                        let mut recs = rec_pool.try_recv().unwrap_or_default();
                         asm.construct(arc.msgs.iter().map(|d| (d.ts.0, d.peer, &d.msg)), &mut recs);
                         asm_ns.record_since(t);
                         {
@@ -1601,32 +1505,21 @@ where
                         // time their results are in; reclaim the batch
                         // buffers (racy against a shard's loop tail —
                         // a failed unwrap just allocates fresh later).
-                        if let Ok(b) = std::sync::Arc::try_unwrap(arc) {
+                        if let Ok(b) = Arc::try_unwrap(arc) {
                             let _ = batch_pool_tx.try_send(b);
                         }
                         asm_trace.service_end(&mut pt, bseq as u32, last_us, w0, 1);
                     }
-                    AsmItem::Checkpoint {
-                        virtual_us,
-                        next_checkpoint_us,
-                        records,
-                        fig3_order,
-                    } => {
+                    AsmItem::Checkpoint(mut cp) => {
                         if failed {
                             continue;
                         }
-                        failed = fmt_tx
-                            .send(FormatItem::Checkpoint(PipelineCheckpoint {
-                                virtual_us,
-                                next_checkpoint_us,
-                                records,
-                                // etwlint: allow(no-alloc-hot-loop): checkpoint cut — runs once per interval, not per record
-                                client_order: asm.client_order().to_vec(),
-                                // etwlint: allow(no-alloc-hot-loop): checkpoint cut, as above
-                                file_order: asm.file_order().to_vec(),
-                                fig3_order,
-                            }))
-                            .is_err();
+                        // etwlint: allow(no-alloc-hot-loop): checkpoint cut — runs once per interval, not per record
+                        cp.client_order = asm.client_order().to_vec();
+                        // etwlint: allow(no-alloc-hot-loop): checkpoint cut, as above
+                        cp.file_order = asm.file_order().to_vec();
+                        let (records, virtual_us) = (cp.records, cp.virtual_us);
+                        failed = fmt_tx.send(FormatItem::Checkpoint(cp)).is_err();
                         asm_trace.service_end(&mut pt, records as u32, virtual_us, w0, 0);
                     }
                 }
@@ -1634,180 +1527,37 @@ where
             asm
         });
 
-        // Sequential stage: restore capture order, run the visit pass
-        // while staging, fan out batches.
-        let seq_trace = StageTrace::new(
-            registry,
-            StageId::Reorder,
-            trace_ctx.as_ref().map(|c| c.lane(lane_seq(n_workers), 0)),
-        );
-        let sink = SinkTelemetry {
-            reorder_depth: registry.gauge("stage.reorder.depth"),
-            reorder_depth_hwm: registry.gauge("stage.reorder.depth_hwm"),
-            anonymize_ns: registry.histogram("stage.anonymize.service_ns"),
-            records: registry.counter("stage.sink.records_total"),
-            queries: registry.counter("stage.sink.queries_total"),
-            to_server: registry.counter("stage.sink.to_server_total"),
-            from_server: registry.counter("stage.sink.from_server_total"),
-        };
-        let cp_interval = opts.checkpoint_interval_us;
-        let (skip, mut last_ts, mut next_cp) = match &opts.resume {
-            Some(r) => (r.records, r.virtual_us, r.next_checkpoint_us),
-            None => (0, 0, cp_interval),
-        };
-        let mut consumed = 0u64;
-        let mut reorder: BTreeMap<u64, Option<DecodedMsg>> = BTreeMap::new();
-        let mut next_seq = 0u64;
-        let fresh_batch = || ShardBatch {
-            seq: 0,
-            msgs: Vec::with_capacity(tail.batch_records),
-            client_ids: Vec::new(),
-            file_ids: Vec::new(),
-        };
-        let mut cur = fresh_batch();
-        let mut batch_seq = 0u64;
-        let mut queries = 0u64;
-        let mut dirs = (0u64, 0u64);
-        let mut tail_failed = false;
-        // Stages the current run: account it, stamp its sequence number
-        // and fan it out to every shard plus the assembler.
-        let flush = |cur: &mut ShardBatch,
-                     queries: &mut u64,
-                     dirs: &mut (u64, u64),
-                     batch_seq: &mut u64,
-                     stats: &mut PipelineStats|
-         -> bool {
-            if cur.msgs.is_empty() {
-                return true;
-            }
-            let records = cur.msgs.len() as u64;
-            stats.records += records;
-            stats.query_records += *queries;
-            stats.to_server += dirs.0;
-            stats.from_server += dirs.1;
-            sink.records.add(records);
-            sink.queries.add(*queries);
-            sink.to_server.add(dirs.0);
-            sink.from_server.add(dirs.1);
-            *queries = 0;
-            *dirs = (0, 0);
-            cur.seq = *batch_seq;
-            *batch_seq += 1;
-            let mut next = batch_pool_rx.try_recv().unwrap_or_else(&fresh_batch);
-            next.msgs.clear();
-            next.client_ids.clear();
-            next.file_ids.clear();
-            let arc = std::sync::Arc::new(std::mem::replace(cur, next));
-            for (tx, depth) in &shard_txs {
-                if tx.send(arc.clone()).is_err() {
-                    return false;
-                }
-                depth.add(1);
-            }
-            asm_tx.send(AsmItem::Batch(arc)).is_ok()
-        };
-        let mut pt = seq_trace.begin();
-        while let Ok(batch) = out_rx.recv() {
-            let w0 = seq_trace.service_begin(&mut pt);
-            let items = batch.len() as u64;
-            for (seq, decoded) in batch {
-                reorder.insert(seq, decoded);
-            }
-            while let Some(decoded) = reorder.remove(&next_seq) {
-                next_seq += 1;
-                let Some(d) = decoded else { continue };
-                if cp_interval > 0 && d.ts.0 >= next_cp {
-                    // Cut *before* consuming this message, staged run
-                    // flushed first — exactly as the serial tail. The
-                    // assembler completes the marker with the orders.
-                    next_cp = (d.ts.0 / cp_interval + 1) * cp_interval;
-                    seq_trace.event_dump(
-                        SpanKind::Checkpoint,
-                        "checkpoint",
-                        consumed as u32,
-                        last_ts,
-                    );
-                    if !tail_failed {
-                        tail_failed = !flush(
-                            &mut cur,
-                            &mut queries,
-                            &mut dirs,
-                            &mut batch_seq,
-                            &mut stats,
-                        );
-                    }
-                    if !tail_failed {
-                        tail_failed = asm_tx
-                            .send(AsmItem::Checkpoint {
-                                virtual_us: last_ts,
-                                next_checkpoint_us: next_cp,
-                                records: consumed,
-                                fig3_order: fig3.as_ref().map(|f| f.appearance_order()),
-                            })
-                            .is_err();
-                    }
-                }
-                consumed += 1;
-                last_ts = d.ts.0;
-                if consumed <= skip {
-                    // Resume replay: already written by the interrupted
-                    // run; its effects live in the restored state.
-                    continue;
-                }
-                if tail_failed {
-                    // Tail is gone: keep consuming so the decode front
-                    // drains instead of deadlocking the producer.
-                    continue;
-                }
-                match d.direction {
-                    Direction::ToServer => dirs.0 += 1,
-                    Direction::FromServer => dirs.1 += 1,
-                }
-                if let Some(fig3) = fig3.as_mut() {
-                    for id in message_file_ids(&d.msg) {
-                        fig3.anonymize(id);
-                    }
-                }
-                queries += u64::from(d.msg.is_client_to_server());
-                let t = sink.anonymize_ns.start();
-                collect_ids(d.peer, &d.msg, &mut cur.client_ids, &mut cur.file_ids);
-                sink.anonymize_ns.record_since(t);
-                cur.msgs.push(d);
-                if cur.msgs.len() >= tail.batch_records {
-                    tail_failed = !flush(
-                        &mut cur,
-                        &mut queries,
-                        &mut dirs,
-                        &mut batch_seq,
-                        &mut stats,
-                    );
-                }
-            }
-            let depth = reorder.len() as i64;
-            sink.reorder_depth.set(depth);
-            if depth > sink.reorder_depth_hwm.get() {
-                sink.reorder_depth_hwm.set(depth);
-            }
-            seq_trace.service_end(&mut pt, depth as u32, last_ts, w0, items);
+        ShardPool {
+            txs,
+            asm_tx,
+            batch_pool: batch_pool_rx,
+            next_seq: 0,
+            workers,
+            assembler,
+            width_bits,
+            selector,
+            registry: registry.clone(),
         }
-        debug_assert!(reorder.is_empty(), "holes in the sequence space");
-        if !tail_failed {
-            // Final partial batch.
-            flush(
-                &mut cur,
-                &mut queries,
-                &mut dirs,
-                &mut batch_seq,
-                &mut stats,
-            );
-        }
-        drop(shard_txs);
-        drop(asm_tx);
+    }
 
-        // Shutdown order follows the data: shards, assembler, formatter,
-        // writer, then the front.
+    /// Closes the shard and assembler queues, joins the pool (shards,
+    /// then the assembler), publishes the shards' summed probe work and
+    /// rebuilds a serial-equivalent scheme from the assembler's orders.
+    fn finish(self) -> PaperScheme {
+        let ShardPool {
+            txs,
+            asm_tx,
+            workers,
+            assembler,
+            width_bits,
+            selector,
+            registry,
+            ..
+        } = self;
+        drop(txs);
+        drop(asm_tx);
         let mut probe = ProbeStats::default();
-        for h in shard_handles {
+        for h in workers {
             // etwlint: allow(no-panic-hot-path): join() only errs when
             // the joined thread panicked; re-raising is panic
             // propagation, not a new failure mode.
@@ -1824,75 +1574,66 @@ where
         // with the workers (the returned scheme is rebuilt from orders,
         // which zeroes its stats), so the campaign-facing numbers live
         // under anon.shard.* instead of anon.fileid.*.
-        registry
-            .counter("anon.shard.probes_total")
-            .add(probe.probes);
-        registry
-            .counter("anon.shard.comparisons_total")
-            .add(probe.comparisons);
+        for (name, n) in [
+            ("anon.shard.probes_total", probe.probes),
+            ("anon.shard.comparisons_total", probe.comparisons),
+            ("anon.shard.inserts_total", probe.inserts),
+            ("anon.shard.shifted_total", probe.shifted),
+        ] {
+            registry.counter(name).add(n);
+        }
         registry
             .gauge("anon.shard.max_probe_depth")
             .set(probe.max_probe_depth as i64);
         registry
-            .counter("anon.shard.inserts_total")
-            .add(probe.inserts);
-        registry
-            .counter("anon.shard.shifted_total")
-            .add(probe.shifted);
-        registry
             .gauge("anon.shard.max_shift")
             .set(probe.max_shift as i64);
         // etwlint: allow(no-panic-hot-path): panic propagation, as above
-        let asm = asm_thread.join().expect("assembler panicked");
-        // etwlint: allow(no-panic-hot-path): panic propagation, as above
-        formatter.join().expect("formatter panicked");
-        // etwlint: allow(no-panic-hot-path): panic propagation, as above
-        let (w, io_err) = writer_thread.join().expect("writer panicked");
-        // etwlint: allow(no-panic-hot-path): panic propagation, as above
-        let (total_frames, shed_count) = producer.join().expect("producer panicked");
+        let asm = assembler.join().expect("assembler panicked");
+        // Distinct counts and bucket sizes match the serial run exactly
+        // (probe stats were aggregated above).
+        PaperScheme::from_orders(width_bits, selector, asm.client_order(), asm.file_order())
+    }
+}
+
+/// The decode front's threads: the routing producer, which yields
+/// `(frames_routed, frames_shed)`, and the workers, each yielding its
+/// accumulated [`WorkerStats`].
+struct DecodeFront<'scope> {
+    producer: crossbeam::thread::ScopedJoinHandle<'scope, (u64, u64)>,
+    workers: Vec<crossbeam::thread::ScopedJoinHandle<'scope, WorkerStats>>,
+}
+
+impl DecodeFront<'_> {
+    /// Joins the front and merges its frame, shed and decode accounting
+    /// into `stats`.
+    fn join(self, stats: &mut PipelineStats) {
+        // etwlint: allow(no-panic-hot-path): join() only errs when the
+        // joined thread panicked; re-raising is panic propagation, not a
+        // new failure mode.
+        let (total_frames, shed_count) = self.producer.join().expect("producer panicked");
         stats.frames = total_frames;
         stats.shed = shed_count;
-        for h in handles {
+        for h in self.workers {
             // etwlint: allow(no-panic-hot-path): panic propagation, as above
-            let worker = h.join().expect("worker panicked");
-            stats.not_udp += worker.not_udp;
-            stats.other_port += worker.other_port;
-            stats.parse_errors += worker.parse_errors;
-            stats.udp_datagrams += worker.udp_datagrams;
-            stats.fragmented_datagrams += worker.fragmented_datagrams;
-            stats.decoder.merge(&worker.decoder);
-            merge_reassembly(&mut stats.reassembly, &worker.reassembly);
+            let w = h.join().expect("worker panicked");
+            stats.not_udp += w.not_udp;
+            stats.other_port += w.other_port;
+            stats.parse_errors += w.parse_errors;
+            stats.udp_datagrams += w.udp_datagrams;
+            stats.fragmented_datagrams += w.fragmented_datagrams;
+            stats.decoder.merge(&w.decoder);
+            merge_reassembly(&mut stats.reassembly, &w.reassembly);
         }
-        (w, io_err, asm)
-    })
-    // etwlint: allow(no-panic-hot-path): crossbeam scope() errs only when
-    // a child panicked; re-raising is panic propagation.
-    .expect("pipeline scope panicked");
-
-    // Rebuild a serial-equivalent scheme from the assembler's final
-    // orders: distinct counts and bucket sizes match the serial run
-    // exactly (probe stats were aggregated above).
-    let scheme =
-        PaperScheme::from_orders(width_bits, selector, asm.client_order(), asm.file_order());
-    match io_err {
-        Some(e) => Err(e),
-        None => Ok((stats, scheme, fig3, writer)),
     }
 }
 
 /// Spawns the parallel front of the pipeline — the routing producer and
 /// the decode workers — into `scope`, wiring shared stage telemetry.
-/// Returns the sequenced worker-output channel plus the join handles:
-/// the producer yields `(frames_routed, frames_shed)`, each worker its
-/// accumulated [`WorkerStats`]. Both the serial and the batched tail sit
-/// downstream of this same front, so fault injection, shedding and
-/// sequence assignment behave identically in the two.
-type FrontHandles<'scope> = (
-    MeteredReceiver<Vec<WorkerStep>>,
-    crossbeam::thread::ScopedJoinHandle<'scope, (u64, u64)>,
-    Vec<crossbeam::thread::ScopedJoinHandle<'scope, WorkerStats>>,
-);
-
+/// Returns the sequenced worker-output channel and the front's threads.
+/// Both the serial and the batched tail sit downstream of this same
+/// front, so fault injection, shedding and sequence assignment behave
+/// identically in the two.
 fn spawn_front<'scope, 'env, I>(
     scope: &crossbeam::thread::Scope<'scope, 'env>,
     frames: I,
@@ -1900,10 +1641,13 @@ fn spawn_front<'scope, 'env, I>(
     registry: &Registry,
     faults: Option<WorkerFaultPlan>,
     trace_ctx: Option<Arc<TraceCtx>>,
-) -> FrontHandles<'scope>
+) -> (MeteredReceiver<Vec<WorkerStep>>, DecodeFront<'scope>)
 where
     I: Iterator<Item = TimedFrame> + Send + 'scope,
 {
+    if faults.as_ref().is_some_and(|plan| plan.crash_every > 0) {
+        silence_injected_crashes();
+    }
     let (out_tx, out_rx) =
         metered_bounded::<Vec<WorkerStep>>(2 * FRAME_QUEUE, registry, "decode_out");
     let mut worker_txs = Vec::with_capacity(n_workers);
@@ -2015,7 +1759,13 @@ where
         (seq, shed_count)
     });
 
-    (out_rx, producer, handles)
+    (
+        out_rx,
+        DecodeFront {
+            producer,
+            workers: handles,
+        },
+    )
 }
 
 /// Keep injected worker crashes out of stderr: they are scheduled fault
@@ -2422,13 +2172,15 @@ mod tests {
         let frames = frames_for(&msgs);
         let registry = Registry::new();
         let mut records = Vec::new();
-        let (stats, _, _) = run_capture_pipeline_observed(
+        let (stats, _, _) = run_capture_pipeline_with(
             frames.into_iter(),
             2,
             PaperScheme::paper(16),
             None,
             &registry,
+            &PipelineOptions::default(),
             |r| records.push(r),
+            |_| {},
         );
         let snap = registry.snapshot();
         // Every frame is seen once per stage; the decode channels tick
@@ -2889,105 +2641,101 @@ mod tests {
     }
 
     #[test]
-    fn batched_tail_reports_format_and_write_stages() {
-        let frames = frames_for(&mixed_msgs(200));
-        let registry = Registry::new();
-        let (bytes, _, stats) = batched_dataset(
-            frames,
-            2,
-            &PipelineOptions::default(),
-            TailConfig {
-                batch_records: 32,
-                batch_queue: 4,
-                anon_shards: 1,
-            },
-            &registry,
-        );
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("stage.format.records_total"), stats.records);
-        assert_eq!(snap.counter("stage.sink.records_total"), stats.records);
-        let batches = snap.counter("stage.format.batches_total");
-        assert_eq!(batches, stats.records.div_ceil(32));
-        assert_eq!(snap.counter("stage.write.batches_total"), batches);
-        // Everything formatted got written; the dataset is header +
-        // formatted bytes + footer.
-        let body = snap.counter("stage.format.bytes_total");
-        assert_eq!(snap.counter("stage.write.bytes_total"), body);
-        assert!(body > 0 && (body as usize) < bytes.len());
-        assert_eq!(
-            snap.histogram("stage.format.service_ns").unwrap().count,
-            batches
-        );
-        assert_eq!(
-            snap.histogram("stage.write.flush_ns").unwrap().count,
-            batches
-        );
-        // Tail queues fully drained at exit.
-        assert_eq!(snap.gauge("chan.fmt_in.depth"), 0);
-        assert_eq!(snap.gauge("chan.write_in.depth"), 0);
-    }
-
-    #[test]
-    fn sharded_tail_reports_shard_and_assemble_stages() {
-        let frames = frames_for(&mixed_msgs(200));
-        let registry = Registry::new();
-        let (bytes, _, stats) = batched_dataset(
-            frames,
-            2,
-            &PipelineOptions::default(),
-            TailConfig {
-                batch_records: 32,
-                batch_queue: 4,
-                anon_shards: 4,
-            },
-            &registry,
-        );
-        assert!(!bytes.is_empty());
-        let snap = registry.snapshot();
-        let batches = stats.records.div_ceil(32);
-        // Every batch visits every shard; the assembler reassembles each
-        // exactly once.
-        assert_eq!(snap.counter("anon.shard.batches_total"), batches * 4);
-        assert_eq!(
-            snap.histogram("stage.shard.service_ns").unwrap().count,
-            batches * 4
-        );
-        assert_eq!(
-            snap.histogram("stage.assemble.service_ns").unwrap().count,
-            batches
-        );
-        // Each id is resolved by exactly one shard, so the summed
-        // resolution counts cover at least one clientID per record (the
-        // peer) without double counting.
-        assert!(snap.counter("anon.shard.client_ids_total") >= stats.records);
-        // The mixed workload carries fileIDs, so the aggregated bucket
-        // probe work is visible.
-        assert!(snap.counter("anon.shard.inserts_total") > 0);
-        assert!(snap.counter("anon.shard.probes_total") > 0);
-        // Record accounting still runs through the shared tail stages.
-        assert_eq!(snap.counter("stage.format.records_total"), stats.records);
-        assert_eq!(snap.counter("stage.sink.records_total"), stats.records);
-        // All shard-pool queues fully drained at exit.
-        assert_eq!(snap.gauge("chan.shard_in.depth"), 0);
-        assert_eq!(snap.gauge("chan.shard_out.depth"), 0);
-        assert_eq!(snap.gauge("chan.asm_in.depth"), 0);
-        // Per-shard balance ledgers (the monitor panel's feed): each
-        // shard saw every batch exactly once, the per-shard resolution
-        // counts tile the aggregates, and every backlog drained.
-        let mut cid_sum = 0;
-        let mut fid_sum = 0;
-        for s in 0..4 {
-            assert_eq!(
-                snap.counter(&format!("anon.shard{s}.batches_total")),
-                batches,
-                "shard {s} batch count"
+    fn batched_tail_reports_stages_at_every_shard_count() {
+        for shards in [1usize, 4] {
+            let frames = frames_for(&mixed_msgs(200));
+            let registry = Registry::new();
+            let (bytes, _, stats) = batched_dataset(
+                frames,
+                2,
+                &PipelineOptions::default(),
+                TailConfig {
+                    batch_records: 32,
+                    batch_queue: 4,
+                    anon_shards: shards,
+                },
+                &registry,
             );
-            cid_sum += snap.counter(&format!("anon.shard{s}.client_ids_total"));
-            fid_sum += snap.counter(&format!("anon.shard{s}.file_ids_total"));
-            assert_eq!(snap.gauge(&format!("anon.shard{s}.queue_depth")), 0);
+            let snap = registry.snapshot();
+            // The shared stages report under the same names at every
+            // shard count, and record accounting agrees end to end.
+            assert_eq!(snap.counter("stage.format.records_total"), stats.records);
+            assert_eq!(snap.counter("stage.sink.records_total"), stats.records);
+            let batches = stats.records.div_ceil(32);
+            assert_eq!(snap.counter("stage.format.batches_total"), batches);
+            assert_eq!(snap.counter("stage.write.batches_total"), batches);
+            // Everything formatted got written; the dataset is header +
+            // formatted bytes + footer.
+            let body = snap.counter("stage.format.bytes_total");
+            assert_eq!(snap.counter("stage.write.bytes_total"), body);
+            assert!(body > 0 && (body as usize) < bytes.len());
+            assert_eq!(
+                snap.histogram("stage.format.service_ns").unwrap().count,
+                batches
+            );
+            assert_eq!(
+                snap.histogram("stage.write.flush_ns").unwrap().count,
+                batches
+            );
+            // The three tail queues carry traffic at every shard count,
+            // and all of them drained at exit.
+            for chan in ["ord_in", "fmt_in", "write_in"] {
+                assert!(
+                    snap.counter(&format!("chan.{chan}.sent_total")) > 0,
+                    "{chan} S={shards}"
+                );
+                assert_eq!(
+                    snap.gauge(&format!("chan.{chan}.depth")),
+                    0,
+                    "{chan} S={shards}"
+                );
+            }
+            assert_eq!(snap.gauge("stage.reorder.depth"), 0);
+            if shards == 1 {
+                continue;
+            }
+            // Every batch visits every shard; the assembler reassembles
+            // each exactly once.
+            assert_eq!(snap.counter("anon.shard.batches_total"), batches * 4);
+            assert_eq!(
+                snap.histogram("stage.shard.service_ns").unwrap().count,
+                batches * 4
+            );
+            assert_eq!(
+                snap.histogram("stage.assemble.service_ns").unwrap().count,
+                batches
+            );
+            // Each id is resolved by exactly one shard, so the summed
+            // resolution counts cover at least one clientID per record
+            // (the peer) without double counting.
+            assert!(snap.counter("anon.shard.client_ids_total") >= stats.records);
+            // The mixed workload carries fileIDs, so the aggregated
+            // bucket probe work is visible.
+            assert!(snap.counter("anon.shard.inserts_total") > 0);
+            assert!(snap.counter("anon.shard.probes_total") > 0);
+            // All shard-pool queues fully drained at exit.
+            assert_eq!(snap.gauge("chan.shard_in.depth"), 0);
+            assert_eq!(snap.gauge("chan.shard_out.depth"), 0);
+            assert_eq!(snap.gauge("chan.asm_in.depth"), 0);
+            // Per-shard balance ledgers (the monitor panel's feed): each
+            // shard saw every batch exactly once, the per-shard
+            // resolution counts tile the aggregates, and every backlog
+            // drained.
+            let mut cid_sum = 0;
+            let mut fid_sum = 0;
+            for s in 0..4 {
+                assert_eq!(
+                    snap.counter(&format!("anon.shard{s}.batches_total")),
+                    batches,
+                    "shard {s} batch count"
+                );
+                cid_sum += snap.counter(&format!("anon.shard{s}.client_ids_total"));
+                fid_sum += snap.counter(&format!("anon.shard{s}.file_ids_total"));
+                assert_eq!(snap.gauge(&format!("anon.shard{s}.queue_depth")), 0);
+            }
+            assert_eq!(cid_sum, snap.counter("anon.shard.client_ids_total"));
+            assert_eq!(fid_sum, snap.counter("anon.shard.file_ids_total"));
         }
-        assert_eq!(cid_sum, snap.counter("anon.shard.client_ids_total"));
-        assert_eq!(fid_sum, snap.counter("anon.shard.file_ids_total"));
     }
 
     #[test]

@@ -53,7 +53,7 @@ use edonkey_ten_weeks::bench::harness::BenchReport;
 use edonkey_ten_weeks::bench::suite;
 use edonkey_ten_weeks::core::{
     render_health_dat, render_t1, try_resume_campaign_observed, try_run_campaign_checkpointed,
-    try_run_campaign_observed, CampaignConfig, CampaignReport, Checkpoint,
+    CampaignConfig, CampaignReport, Checkpoint,
 };
 use edonkey_ten_weeks::netsim::capture::{CaptureBuffer, LossRecorder};
 use edonkey_ten_weeks::netsim::clock::VirtualTime;
@@ -274,11 +274,12 @@ fn run_campaign_once(tiny: bool, weeks: u64) -> CampaignRun {
     let started = Instant::now();
     let mut stats = DatasetStats::new();
     let registry = Registry::new();
-    let report = try_run_campaign_observed(&config, &registry, |record| stats.observe(&record))
-        .unwrap_or_else(|e| {
-            eprintln!("invalid campaign configuration: {e}");
-            std::process::exit(2);
-        });
+    let report =
+        try_run_campaign_checkpointed(&config, &registry, |record| stats.observe(&record), |_| {})
+            .unwrap_or_else(|e| {
+                eprintln!("invalid campaign configuration: {e}");
+                std::process::exit(2);
+            });
     eprintln!(
         "campaign done in {:.1}s: {} records",
         started.elapsed().as_secs_f64(),
