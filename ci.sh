@@ -28,7 +28,7 @@ perfbench|benchmark harness still builds against the pipeline API: its cargo tes
 soak|kill+resume byte identity, fault ledgers|cargo run -q --release --bin repro -- soak --faults --out target/soak
 swarm|real-socket loopback soak: impaired client swarm, exact conservation, live-capture canary|cargo run -q --release --bin repro -- swarm --faults --out target/swarm
 bench|stage + end-to-end throughput, decode-ratio + swarm floors, trajectory vs newest BENCH_PR*.json|cargo run -q --release --bin repro -- bench --smoke --out target/bench
-matrix|campaign matrix: widths 2^24/2^16 x anon shards 1/4 x source shards 1/4, byte-identical datasets|cargo run -q --release --bin repro -- matrix
+matrix|campaign matrix: widths 2^24/2^16/2^32 x anon shards 1/4 x source shards 1/4, byte-identical datasets|cargo run -q --release --bin repro -- matrix
 trace|flight recorder: injected crashes must dump parseable flight_*.etwtrace|cargo run -q --release --bin etwtool -- trace-check --dir target/ci/flight
 clippy|cargo clippy -D warnings|cargo clippy --workspace --all-targets -- -D warnings
 etwlint|repo-specific static analysis + taint pass; SARIF under target/ci/|cargo run -q --release -p etwlint && cargo run -q --release -p etwlint -- --format sarif > target/ci/etwlint.sarif && cargo test -q -p etwlint --test fixture_corpus

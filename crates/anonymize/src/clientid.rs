@@ -11,16 +11,23 @@
 //! operation only".
 //!
 //! [`DirectArrayAnonymizer`] is that structure with a configurable index
-//! width (the full 32-bit width is available given 16 GB of RAM; tests
-//! and the campaign default to 24 bits). [`HashMapAnonymizer`] and
-//! [`BTreeAnonymizer`] are the "classical" baselines the paper dismisses;
-//! bench `anonymize_clientid` (ablation A1) quantifies the comparison.
+//! width (tests and the campaign default to 24 bits). Its table is
+//! paged in lazily, so the full 32-bit width runs on a host with far
+//! less than 16 GB: only the pages holding seen ids are resident.
+//! [`HashMapAnonymizer`] and [`BTreeAnonymizer`] are the "classical"
+//! baselines the paper dismisses; bench `anonymize_clientid` (ablation
+//! A1) quantifies the comparison.
 
 use etw_edonkey::ids::ClientId;
 use std::collections::{BTreeMap, HashMap};
 
-/// Sentinel meaning "clientID not yet seen" in the direct array.
-const UNSEEN: u32 = u32::MAX;
+/// Cells per slab, as a power of two. A table wider than this is split
+/// into slabs of 2²⁸ cells (1 GiB), each its own zeroed allocation: the
+/// kernel's heuristic overcommit refuses a single 16 GiB allocation on a
+/// host with less memory than that, but grants every 1 GiB slab.
+const SLAB_BITS: u32 = 28;
+/// Cells per 4 KiB page, as a power of two.
+const PAGE_BITS: u32 = 10;
 
 /// Order-of-appearance encoder for clientIDs.
 ///
@@ -43,6 +50,17 @@ pub trait ClientIdAnonymizer {
 
 /// The paper's direct-index array: one cell per possible clientID.
 ///
+/// Each cell holds its clientID's value + 1, so 0 means "not yet seen"
+/// and a fresh table is all zeroes. The table comes from zeroed
+/// allocations, which the OS maps page by page on first write:
+/// construction is O(1) at every width and resident memory grows with
+/// the 4 KiB pages actually touched, not with `2^width_bits`. A bitmap
+/// with one bit per page records which pages have been written; a first
+/// sight in an untouched page writes its cell without reading it first
+/// (one page fault instead of a zero-page read fault followed by a
+/// copy-on-write fault), and [`appearance_order`](Self::appearance_order)
+/// walks only the touched pages.
+///
 /// At the paper's full 32-bit width the array covers the entire clientID
 /// space. At narrower test/campaign widths, clientIDs beyond the array —
 /// real on live traffic, where high-ID clients and the peer-server
@@ -50,8 +68,17 @@ pub trait ClientIdAnonymizer {
 /// a hash side-table instead of being a hard error: the array keeps the
 /// dense low-ID space at one memory access, the spill absorbs the sparse
 /// remainder, and the order-of-appearance contract holds across both.
+/// (Sparse ids belong in the spill: each one would cost a whole page in
+/// any page-granular table, against a few bytes in the hash.)
+///
+/// Values are `u32`, as in the paper, so at width 32 the 2³²-th distinct
+/// clientID has no value to take.
 pub struct DirectArrayAnonymizer {
-    table: Vec<u32>,
+    /// Slabs of at most 2^[`SLAB_BITS`] cells; slab `s` covers raw ids
+    /// `s << SLAB_BITS ..`.
+    slabs: Vec<Vec<u32>>,
+    /// One bit per page of cells, set on the page's first write.
+    touched: Vec<u64>,
     spill: HashMap<u32, u32>,
     next: u32,
     width_bits: u32,
@@ -63,21 +90,28 @@ impl DirectArrayAnonymizer {
     /// `width_bits = 32` reproduces the paper's 16 GB configuration
     /// exactly; smaller widths cover proportionally smaller clientID
     /// spaces (the campaign generates IDs inside the configured space).
+    /// Either way nothing is resident until ids arrive.
     pub fn new(width_bits: u32) -> Self {
         assert!((1..=32).contains(&width_bits), "width must be 1..=32");
-        let size = 1usize << width_bits;
+        let cells = 1usize << width_bits;
+        let slab_cells = cells.min(1 << SLAB_BITS);
+        let pages = cells.div_ceil(1 << PAGE_BITS);
         DirectArrayAnonymizer {
-            table: vec![UNSEEN; size],
+            slabs: (0..cells / slab_cells)
+                .map(|_| vec![0u32; slab_cells])
+                .collect(),
+            touched: vec![0u64; pages.div_ceil(64)],
             spill: HashMap::new(),
             next: 0,
             width_bits,
         }
     }
 
-    /// Memory footprint of the table in bytes (the paper's 16 GB figure
-    /// at width 32).
+    /// Address-space size of the table in bytes (the paper's 16 GB
+    /// figure at width 32); resident memory is
+    /// [`pages_touched`](Self::pages_touched) pages.
     pub fn table_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<u32>()
+        self.slabs.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<u32>()
     }
 
     /// Index width in bits.
@@ -85,17 +119,34 @@ impl DirectArrayAnonymizer {
         self.width_bits
     }
 
+    /// Number of 4 KiB table pages written so far: the table's resident
+    /// footprint, read off the page bitmap.
+    pub fn pages_touched(&self) -> usize {
+        self.touched.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     /// Raw clientIDs in order of first appearance. This is the entire
     /// checkpointable state of the anonymiser: replaying the returned
     /// IDs through [`ClientIdAnonymizer::anonymize`] rebuilds an
     /// identical table, which is what [`DirectArrayAnonymizer::from_order`]
-    /// does on campaign resume.
+    /// does on campaign resume. Reads only the touched pages and the
+    /// spill table.
     // etwlint: source(raw-id): returns the raw clientID table for checkpointing
     pub fn appearance_order(&self) -> Vec<u32> {
         let mut order = vec![0u32; self.next as usize];
-        for (raw, &v) in self.table.iter().enumerate() {
-            if v != UNSEEN {
-                order[v as usize] = raw as u32;
+        for (w, &word) in self.touched.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let first = (w * 64 + bits.trailing_zeros() as usize) << PAGE_BITS;
+                bits &= bits - 1;
+                let slab = &self.slabs[first >> SLAB_BITS];
+                let start = first & ((1 << SLAB_BITS) - 1);
+                let end = slab.len().min(start + (1 << PAGE_BITS));
+                for (i, &cell) in slab[start..end].iter().enumerate() {
+                    if cell != 0 {
+                        order[cell as usize - 1] = (first + i) as u32;
+                    }
+                }
             }
         }
         for (&raw, &v) in &self.spill {
@@ -126,12 +177,25 @@ impl ClientIdAnonymizer for DirectArrayAnonymizer {
     // etwlint: sanitize(raw-id): raw id becomes its appearance-order index
     fn anonymize(&mut self, id: ClientId) -> u32 {
         let raw = id.raw();
-        if let Some(cell) = self.table.get_mut(raw as usize) {
-            if *cell == UNSEEN {
-                *cell = self.next;
-                self.next += 1;
+        let cell = self
+            .slabs
+            .get_mut((raw >> SLAB_BITS) as usize)
+            .and_then(|slab| slab.get_mut((raw & ((1 << SLAB_BITS) - 1)) as usize));
+        if let Some(cell) = cell {
+            let page = (raw >> PAGE_BITS) as usize;
+            let word = &mut self.touched[page / 64];
+            let bit = 1 << (page % 64);
+            if *word & bit == 0 {
+                // First write to this page: every cell in it is still
+                // zero, so write without reading.
+                *word |= bit;
+            } else if *cell != 0 {
+                return *cell - 1;
             }
-            *cell
+            let v = self.next;
+            self.next += 1;
+            *cell = v + 1;
+            v
         } else {
             let next = &mut self.next;
             *self.spill.entry(raw).or_insert_with(|| {
@@ -147,9 +211,15 @@ impl ClientIdAnonymizer for DirectArrayAnonymizer {
     }
 
     fn lookup(&self, id: ClientId) -> Option<u32> {
-        match self.table.get(id.raw() as usize) {
-            Some(&v) => (v != UNSEEN).then_some(v),
-            None => self.spill.get(&id.raw()).copied(),
+        let raw = id.raw();
+        let cell = self
+            .slabs
+            .get((raw >> SLAB_BITS) as usize)
+            .and_then(|slab| slab.get((raw & ((1 << SLAB_BITS) - 1)) as usize));
+        match cell {
+            // Cells of untouched pages read as zero: unseen.
+            Some(&cell) => cell.checked_sub(1),
+            None => self.spill.get(&raw).copied(),
         }
     }
 
@@ -326,6 +396,43 @@ mod tests {
         let b = DirectArrayAnonymizer::from_order(8, &order);
         assert_eq!(b.lookup(ClientId(0x5216_0a01)), Some(1));
         assert_eq!(b.distinct(), 3);
+    }
+
+    #[test]
+    fn paper_width_pages_in_lazily() {
+        // The paper's 2^32-cell table constructs without 16 GB of RAM:
+        // only the pages written to are resident, counted by the bitmap.
+        let mut a = DirectArrayAnonymizer::new(32);
+        assert_eq!(a.table_bytes(), 16 * (1usize << 30));
+        assert_eq!(a.pages_touched(), 0);
+        let mut rng = StdRng::seed_from_u64(32);
+        let ids: Vec<u32> = (0..10_000).map(|_| rng.gen()).collect();
+        for &raw in &ids {
+            a.anonymize(ClientId(raw));
+        }
+        assert!(a.pages_touched() <= 10_000, "{} pages", a.pages_touched());
+        assert_eq!(a.spilled(), 0, "width 32 never spills");
+        assert_eq!(a.lookup(ClientId(ids[0])), Some(0));
+        let order = a.appearance_order();
+        assert_eq!(order.len() as u32, a.distinct());
+        let b = DirectArrayAnonymizer::from_order(32, &order);
+        assert_eq!(b.appearance_order(), order);
+        assert_eq!(b.pages_touched(), a.pages_touched());
+    }
+
+    #[test]
+    fn pages_are_marked_on_first_write_only() {
+        let mut a = DirectArrayAnonymizer::new(16);
+        // Cells 0..1024 share a page; 1024 starts the next one.
+        assert_eq!(a.lookup(ClientId(5)), None);
+        assert_eq!(a.pages_touched(), 0, "lookup marks nothing");
+        assert_eq!(a.anonymize(ClientId(1023)), 0);
+        assert_eq!(a.anonymize(ClientId(0)), 1);
+        assert_eq!(a.pages_touched(), 1);
+        assert_eq!(a.anonymize(ClientId(1024)), 2);
+        assert_eq!(a.anonymize(ClientId(1023)), 0, "repeat in a touched page");
+        assert_eq!(a.pages_touched(), 2);
+        assert_eq!(a.appearance_order(), vec![1023, 0, 1024]);
     }
 
     #[test]

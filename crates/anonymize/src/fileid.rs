@@ -131,6 +131,17 @@ impl BucketedArrays {
         self.buckets.iter().map(Vec::len).collect()
     }
 
+    /// Sizes of the 65 536 buckets the stored fileIDs fall into under
+    /// `selector`: Fig. 3 for any choice of bytes, read off this one
+    /// store.
+    pub fn bucket_sizes_under(&self, selector: ByteSelector) -> Vec<usize> {
+        let mut sizes = vec![0; NUM_BUCKETS];
+        for (id, _) in self.buckets.iter().flatten() {
+            sizes[selector.index(id)] += 1;
+        }
+        sizes
+    }
+
     /// Largest bucket (paper quotes "our max array size: 819" after one
     /// week with the alternative selector, vs 24 024 in bucket 0 with the
     /// first-two-bytes selector).

@@ -71,7 +71,7 @@ impl ClientShard {
         assert!(shard < shards);
         let shard_bits = shards.trailing_zeros();
         assert!(
-            width_bits > shard_bits && width_bits <= 31,
+            width_bits > shard_bits && width_bits <= 32,
             "client space of {width_bits} bits cannot be split {shards} ways"
         );
         ClientShard {

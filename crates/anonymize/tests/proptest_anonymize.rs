@@ -16,7 +16,64 @@ use etw_edonkey::messages::Message;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+/// ClientID streams that mix dense low IDs, repeated high IDs and IDs
+/// drawn from the whole 32-bit space, so narrow tables both index and
+/// spill, and every table touches pages far apart.
+fn mixed_client_ids() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(
+        prop_oneof![
+            0u32..4096,
+            0u32..4096,
+            (0u32..64).prop_map(|k| 0xC0A8_0000 + k * 0x0101),
+            any::<u32>(),
+        ],
+        1..400,
+    )
+}
+
+/// Checks the direct table against the `HashMapAnonymizer` oracle at
+/// `width` on `stream`: values, `distinct()`, `spilled()`,
+/// `appearance_order()` and a `from_order` round trip.
+fn direct_matches_oracle(width: u32, stream: &[u32]) -> Result<(), TestCaseError> {
+    let mut direct = DirectArrayAnonymizer::new(width);
+    let mut oracle = HashMapAnonymizer::new();
+    let mut order = Vec::new();
+    for &raw in stream {
+        let id = ClientId(raw);
+        let want = oracle.anonymize(id);
+        if want as usize == order.len() {
+            order.push(raw);
+        }
+        prop_assert_eq!(direct.anonymize(id), want);
+    }
+    prop_assert_eq!(direct.distinct(), oracle.distinct());
+    let beyond = order
+        .iter()
+        .filter(|&&raw| u64::from(raw) >> width != 0)
+        .count();
+    prop_assert_eq!(direct.spilled(), beyond);
+    prop_assert_eq!(direct.appearance_order(), order.clone());
+    let rebuilt = DirectArrayAnonymizer::from_order(width, &order);
+    prop_assert_eq!(rebuilt.distinct(), oracle.distinct());
+    prop_assert_eq!(rebuilt.spilled(), beyond);
+    prop_assert_eq!(rebuilt.pages_touched(), direct.pages_touched());
+    prop_assert_eq!(rebuilt.appearance_order(), order.clone());
+    for &raw in &order {
+        prop_assert_eq!(rebuilt.lookup(ClientId(raw)), oracle.lookup(ClientId(raw)));
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The lazily paged table against the oracle at the campaign-style
+    /// narrow widths and at the paper's full 2^32.
+    #[test]
+    fn direct_table_matches_oracle_at_every_width(stream in mixed_client_ids()) {
+        for width in [16, 24, 32] {
+            direct_matches_oracle(width, &stream)?;
+        }
+    }
+
     /// Differential test: every clientID encoder computes the identical
     /// order-of-appearance function.
     #[test]

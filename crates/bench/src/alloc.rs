@@ -42,6 +42,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
         System.alloc(layout)
     }
 
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // Forwarded rather than left to the default (`alloc` + memset):
+        // the system allocator hands back fresh zero pages without
+        // writing them, which the lazily paged clientID table relies on.
+        // ordering: independent event counters, as in `alloc` above
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }

@@ -285,10 +285,10 @@ fn campaign_inner_core<T>(
     run_tail: impl for<'f> FnOnce(
         Box<dyn Iterator<Item = TimedFrame> + Send + 'f>,
         PaperScheme,
-        Option<BucketedArrays>,
+        Option<ByteSelector>,
         &PipelineOptions,
     ) -> Result<
-        (PipelineStats, PaperScheme, Option<BucketedArrays>, T),
+        (PipelineStats, PaperScheme, Option<Vec<usize>>, T),
         CampaignError,
     >,
 ) -> Result<(CampaignReport, T), CampaignError> {
@@ -302,7 +302,7 @@ fn campaign_inner_core<T>(
         }
         if config.track_fig3 && cp.fig3_order.is_none() {
             return Err(ConfigError::CheckpointMismatch {
-                reason: "config tracks Fig. 3 but the checkpoint has no tracker state",
+                reason: "config tracks Fig. 3 but the checkpoint has no fig3 block",
             }
             .into());
         }
@@ -332,28 +332,20 @@ fn campaign_inner_core<T>(
 
     // Resume restores the anonymiser by replaying its appearance orders;
     // a fresh run starts empty. Either way the frame stream replays from
-    // the seed — determinism is the checkpoint's other half.
-    let (scheme, fig3) = match resume {
-        None => (
-            AnonymizationScheme::new(
-                DirectArrayAnonymizer::new(config.client_space_bits),
-                BucketedArrays::new(config.fileid_selector),
-            ),
-            config
-                .track_fig3
-                .then(|| BucketedArrays::new(ByteSelector::FIRST_TWO)),
+    // the seed — determinism is the checkpoint's other half. Fig. 3 needs
+    // no state of its own: the tail reads it off the fileID encoder once,
+    // at the end.
+    let scheme = match resume {
+        None => AnonymizationScheme::new(
+            DirectArrayAnonymizer::new(config.client_space_bits),
+            BucketedArrays::new(config.fileid_selector),
         ),
-        Some(cp) => (
-            AnonymizationScheme::new(
-                DirectArrayAnonymizer::from_order(config.client_space_bits, &cp.client_order),
-                BucketedArrays::from_order(config.fileid_selector, &cp.file_order),
-            ),
-            cp.fig3_order
-                .as_ref()
-                .filter(|_| config.track_fig3)
-                .map(|order| BucketedArrays::from_order(ByteSelector::FIRST_TWO, order)),
+        Some(cp) => AnonymizationScheme::new(
+            DirectArrayAnonymizer::from_order(config.client_space_bits, &cp.client_order),
+            BucketedArrays::from_order(config.fileid_selector, &cp.file_order),
         ),
     };
+    let fig3 = config.track_fig3.then_some(ByteSelector::FIRST_TWO);
     let opts = PipelineOptions {
         checkpoint_interval_us: config.checkpoint_interval_secs * 1_000_000,
         resume: resume.map(|cp| ResumePoint {
@@ -407,6 +399,15 @@ fn campaign_inner_core<T>(
     registry
         .gauge("anon.fileid.max_shift")
         .set(probes.max_shift as i64);
+    // The clientID table's resident footprint: pages written (4 KiB
+    // each) and the ids that live in the spill table instead.
+    let clients = scheme.client_encoder();
+    registry
+        .gauge("anon.client.pages_touched")
+        .set(clients.pages_touched() as i64);
+    registry
+        .gauge("anon.client.spilled")
+        .set(clients.spilled() as i64);
 
     let capture = Arc::try_unwrap(capture_stats)
         // etwlint: allow(no-panic-hot-path): the pipeline has joined by
@@ -427,7 +428,7 @@ fn campaign_inner_core<T>(
             distinct_clients: scheme.distinct_clients(),
             distinct_files: scheme.distinct_files(),
             bucket_sizes_alternative: scheme.file_encoder().bucket_sizes(),
-            bucket_sizes_first_two: fig3.map(|f| f.bucket_sizes()),
+            bucket_sizes_first_two: fig3,
             pipeline,
             capture,
             health,
@@ -476,6 +477,7 @@ pub fn render_health_dat(health: &HealthSeries) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etw_edonkey::ids::FileId;
 
     fn tiny_report() -> (CampaignReport, Vec<AnonRecord>) {
         let mut records = Vec::new();
@@ -707,6 +709,49 @@ mod tests {
         assert_eq!(records, records2);
     }
 
+    /// The fileID encoder's appearance order at the end of a serial run
+    /// of `config`: the one store Fig. 3 is read off.
+    fn final_file_order(config: &CampaignConfig) -> Vec<FileId> {
+        let mut order = Vec::new();
+        campaign_inner_core(
+            config,
+            &Registry::disabled(),
+            None,
+            |frames, scheme, fig3, opts| {
+                let (stats, scheme, fig3) = run_capture_pipeline_with(
+                    frames,
+                    config.decode_workers,
+                    scheme,
+                    fig3,
+                    &Registry::disabled(),
+                    opts,
+                    |_| {},
+                    |_| {},
+                );
+                order = scheme.file_encoder().appearance_order();
+                Ok((stats, scheme, fig3, ()))
+            },
+        )
+        .expect("valid config");
+        order
+    }
+
+    /// Fig. 3 as the paper's second store would have drawn it: a
+    /// FIRST_TWO store built from the final fileID order.
+    fn fig3_from_order(order: &[FileId]) -> Option<Vec<usize>> {
+        Some(BucketedArrays::from_order(ByteSelector::FIRST_TWO, order).bucket_sizes())
+    }
+
+    /// Every sidecar's `fig3` block is a copy of its file block, before
+    /// and after the sidecar encoding.
+    fn assert_fig3_blocks_mirror_file_order(cps: &[Checkpoint]) {
+        for cp in cps {
+            assert_eq!(cp.fig3_order.as_ref(), Some(&cp.file_order));
+            let decoded = Checkpoint::decode(&cp.encode()).expect("sidecar decodes");
+            assert_eq!(decoded.fig3_order.as_ref(), Some(&decoded.file_order));
+        }
+    }
+
     #[test]
     fn faulty_campaign_resumes_record_identical() {
         let config = CampaignConfig::tiny_faulty();
@@ -756,6 +801,13 @@ mod tests {
             resumed.bucket_sizes_first_two,
             report.bucket_sizes_first_two
         );
+        // Fig. 3 is read off the one fileID store, in the sidecars and
+        // in the report.
+        assert_fig3_blocks_mirror_file_order(&cps);
+        assert_fig3_blocks_mirror_file_order(&tail_cps);
+        let want = fig3_from_order(&final_file_order(&config));
+        assert_eq!(report.bucket_sizes_first_two, want);
+        assert_eq!(resumed.bucket_sizes_first_two, want);
     }
 
     #[test]
@@ -907,6 +959,11 @@ mod tests {
             assert_eq!(*a, b, "resumed checkpoint diverges");
         }
         assert_eq!(resumed.records + cp.records, report.records);
+        assert_fig3_blocks_mirror_file_order(&cps);
+        assert_fig3_blocks_mirror_file_order(&tail_cps);
+        let want = fig3_from_order(&final_file_order(&config));
+        assert_eq!(report.bucket_sizes_first_two, want);
+        assert_eq!(resumed.bucket_sizes_first_two, want);
     }
 
     #[test]
@@ -950,6 +1007,21 @@ mod tests {
                 Ok(_) => panic!("S={anon_shards}: writer must fail"),
             }
         }
+    }
+
+    #[test]
+    fn client_table_footprint_reaches_the_health_file() {
+        let registry = Registry::new();
+        let report = run_campaign_observed(&CampaignConfig::tiny(), &registry, |_| {});
+        let last = report.health.records.last().expect("health records");
+        let pages = last.snapshot.gauge("anon.client.pages_touched");
+        let spilled = last.snapshot.gauge("anon.client.spilled");
+        assert_eq!(pages, registry.gauge("anon.client.pages_touched").get());
+        assert_eq!(spilled, registry.gauge("anon.client.spilled").get());
+        // tiny's 2^16-cell table spans 64 pages; every client it holds
+        // is on one of them, and the rest spilled.
+        assert!(pages > 0 && pages <= 64, "{pages} pages");
+        assert!(spilled < i64::from(report.distinct_clients));
     }
 
     #[test]

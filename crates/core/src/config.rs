@@ -155,8 +155,10 @@ pub struct CampaignConfig {
     pub decode_workers: usize,
     /// Traffic-source sharding (generator workers + index shards).
     pub source: SourceConfig,
-    /// Also maintain a FIRST_TWO-bytes bucketed store so Fig. 3 can
-    /// compare both selectors in one run.
+    /// Also report the fileID bucket sizes under FIRST_TWO indexing so
+    /// Fig. 3 can compare both selectors in one run (read off the one
+    /// fileID store at the end; checkpoints carry a copy of the file
+    /// order in their `fig3` block).
     pub track_fig3: bool,
     /// Virtual seconds between machine-health snapshots (0 disables
     /// them). Only consulted by `run_campaign_observed`; a snapshot is

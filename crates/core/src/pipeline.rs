@@ -17,7 +17,7 @@
 
 use crate::wirepath::{Direction, Recovered, WireDecoder, SERVER_IP};
 use bytes::Bytes;
-use etw_anonymize::fileid::{BucketedArrays, ByteSelector, FileIdAnonymizer, ProbeStats};
+use etw_anonymize::fileid::{ByteSelector, ProbeStats};
 use etw_anonymize::scheme::{AnonRecord, PaperScheme};
 use etw_anonymize::shard::{
     build_sharded, collect_ids, shard_count_valid, Assembler, ShardSet, MAX_SHARDS,
@@ -418,9 +418,36 @@ pub struct PipelineCheckpoint {
     /// fileID appearance order of the anonymiser.
     // etwlint: source(raw-id): checkpoint cut carries the raw fileID order
     pub file_order: Vec<FileId>,
-    /// Appearance order of the Fig. 3 FIRST_TWO tracker, if enabled.
-    // etwlint: source(raw-id): tracker order is raw fileIDs
+    /// The Fig. 3 sidecar block, if Fig. 3 is requested: Fig. 3 is read
+    /// off the one fileID store, so this is a copy of `file_order`.
+    // etwlint: source(raw-id): Fig. 3 order is raw fileIDs
     pub fig3_order: Option<Vec<FileId>>,
+}
+
+impl PipelineCheckpoint {
+    /// A cut at `records` consumed messages whose appearance orders are
+    /// still to be filled in with [`set_orders`](Self::set_orders) by the
+    /// stage that owns the anonymiser state.
+    fn new(virtual_us: u64, next_checkpoint_us: u64, records: u64, fig3: bool) -> Self {
+        PipelineCheckpoint {
+            virtual_us,
+            next_checkpoint_us,
+            records,
+            client_order: Vec::new(),
+            file_order: Vec::new(),
+            fig3_order: fig3.then(Vec::new),
+        }
+    }
+
+    /// Fills in the anonymiser's appearance orders, and the Fig. 3 block
+    /// from the file order if the cut carries one.
+    fn set_orders(&mut self, client_order: Vec<u32>, file_order: Vec<FileId>) {
+        if let Some(fig3) = self.fig3_order.as_mut() {
+            fig3.clone_from(&file_order);
+        }
+        self.client_order = client_order;
+        self.file_order = file_order;
+    }
 }
 
 /// A decoded message with its envelope, in capture order.
@@ -453,15 +480,17 @@ const FRAME_QUEUE: usize = 8;
 
 /// Runs the full pipeline over `frames`, invoking `on_record` for every
 /// anonymised record in deterministic capture order. Returns the final
-/// statistics, the anonymisation scheme (with its accumulated state) and
-/// the optional FIRST_TWO-bytes fileID store used for Fig. 3.
+/// statistics, the anonymisation scheme (with its accumulated state) and,
+/// if `fig3` names a byte selector, Fig. 3's bucket sizes under it: the
+/// distinct fileIDs of the scheme's one fileID store, bucketed by those
+/// two bytes.
 pub fn run_capture_pipeline<I>(
     frames: I,
     n_workers: usize,
     scheme: PaperScheme,
-    fig3: Option<BucketedArrays>,
+    fig3: Option<ByteSelector>,
     on_record: impl FnMut(AnonRecord),
-) -> (PipelineStats, PaperScheme, Option<BucketedArrays>)
+) -> (PipelineStats, PaperScheme, Option<Vec<usize>>)
 where
     I: Iterator<Item = TimedFrame> + Send,
 {
@@ -602,6 +631,9 @@ fn drain_reorder(
 ///   the checkpoint), then continues exactly where the interrupted run
 ///   left off.
 ///
+/// `fig3` works as in [`run_capture_pipeline`]; with it set, every cut
+/// also carries the file order as its Fig. 3 block.
+///
 /// This per-record tail is the reference the batched tail
 /// ([`run_capture_pipeline_batched`]) is proven byte-identical against.
 #[allow(clippy::too_many_arguments)]
@@ -609,12 +641,12 @@ pub fn run_capture_pipeline_with<I>(
     frames: I,
     n_workers: usize,
     mut scheme: PaperScheme,
-    mut fig3: Option<BucketedArrays>,
+    fig3: Option<ByteSelector>,
     registry: &Registry,
     opts: &PipelineOptions,
     mut on_record: impl FnMut(AnonRecord),
     mut on_checkpoint: impl FnMut(PipelineCheckpoint),
-) -> (PipelineStats, PaperScheme, Option<BucketedArrays>)
+) -> (PipelineStats, PaperScheme, Option<Vec<usize>>)
 where
     I: Iterator<Item = TimedFrame> + Send,
 {
@@ -658,14 +690,12 @@ where
                 // restored boundary lies past every skipped message.
                 next_cp = (d.ts.0 / cp_interval + 1) * cp_interval;
                 seq_trace.event_dump(SpanKind::Checkpoint, "checkpoint", consumed as u32, last_ts);
-                on_checkpoint(PipelineCheckpoint {
-                    virtual_us: last_ts,
-                    next_checkpoint_us: next_cp,
-                    records: consumed,
-                    client_order: scheme.client_encoder().appearance_order(),
-                    file_order: scheme.file_encoder().appearance_order(),
-                    fig3_order: fig3.as_ref().map(|f| f.appearance_order()),
-                });
+                let mut cp = PipelineCheckpoint::new(last_ts, next_cp, consumed, fig3.is_some());
+                cp.set_orders(
+                    scheme.client_encoder().appearance_order(),
+                    scheme.file_encoder().appearance_order(),
+                );
+                on_checkpoint(cp);
             }
             consumed += 1;
             last_ts = d.ts.0;
@@ -683,11 +713,6 @@ where
                 Direction::FromServer => {
                     stats.from_server += 1;
                     sink.from_server.inc();
-                }
-            }
-            if let Some(fig3) = fig3.as_mut() {
-                for id in message_file_ids(&d.msg) {
-                    fig3.anonymize(id);
                 }
             }
             let t = sink.anonymize_ns.start();
@@ -708,6 +733,7 @@ where
     // a child panicked; re-raising is panic propagation.
     .expect("pipeline scope panicked");
 
+    let fig3 = fig3.map(|selector| scheme.file_encoder().bucket_sizes_under(selector));
     (stats, scheme, fig3)
 }
 
@@ -765,8 +791,8 @@ struct WriteTelemetry {
 ///   only work on the serial drain path is a `BTreeMap` insert/remove.
 /// * The sequencer thread owns the consumed-message count: it cuts
 ///   checkpoints, skips the resume replay, keeps draining when the
-///   writer has failed, books directions and the Fig. 3 tracker, and
-///   stages [`TailConfig::batch_records`] messages per batch.
+///   writer has failed, books directions, and stages
+///   [`TailConfig::batch_records`] messages per batch.
 /// * The back end at `anon_shards = 1` anonymises each staged batch
 ///   with [`PaperScheme::anonymize_batch`] on the sequencer thread and
 ///   sends the records over the metered `fmt_in` channel. At
@@ -796,18 +822,13 @@ pub fn run_capture_pipeline_batched<I, W>(
     frames: I,
     n_workers: usize,
     scheme: PaperScheme,
-    mut fig3: Option<BucketedArrays>,
+    fig3: Option<ByteSelector>,
     registry: &Registry,
     opts: &PipelineOptions,
     tail: TailConfig,
     writer: DatasetWriter<W>,
     on_checkpoint: impl FnMut(PipelineCheckpoint, u64) + Send,
-) -> io::Result<(
-    PipelineStats,
-    PaperScheme,
-    Option<BucketedArrays>,
-    DatasetWriter<W>,
-)>
+) -> io::Result<BatchedRun<W>>
 where
     I: Iterator<Item = TimedFrame> + Send,
     W: Write + Send,
@@ -824,7 +845,7 @@ where
         .trace
         .as_ref()
         .map(|t| TraceCtx::new(t, n_workers, tail.anon_shards, registry));
-    let (stats, scheme, fig3, writer, io_err) = crossbeam::thread::scope(|scope| {
+    let (stats, scheme, writer, io_err) = crossbeam::thread::scope(|scope| {
         let (out_rx, front) = spawn_front(
             scope,
             frames,
@@ -896,8 +917,8 @@ where
         };
 
         // Sequencer: owns the consumed-record count (checkpoint cuts,
-        // resume replay), the direction and Fig. 3 accounting and the
-        // staging buffer; hands each staged run and each cut to the
+        // resume replay), the direction accounting and the staging
+        // buffer; hands each staged run and each cut to the
         // back end. Running it off the reorder thread shortens the
         // serial drain path to the BTreeMap insert/remove.
         let (ord_tx, ord_rx) =
@@ -939,12 +960,12 @@ where
                         if !tail_failed {
                             tail_failed =
                                 !backend.flush(&mut staging, &mut dirs, &sink, &mut stats)
-                                    || !backend.cut(
+                                    || !backend.cut(PipelineCheckpoint::new(
                                         last_ts,
                                         next_cp,
                                         consumed,
-                                        fig3.as_ref().map(|f| f.appearance_order()),
-                                    );
+                                        fig3.is_some(),
+                                    ));
                         }
                     }
                     consumed += 1;
@@ -961,11 +982,6 @@ where
                         Direction::ToServer => dirs.0 += 1,
                         Direction::FromServer => dirs.1 += 1,
                     }
-                    if let Some(fig3) = fig3.as_mut() {
-                        for id in message_file_ids(&d.msg) {
-                            fig3.anonymize(id);
-                        }
-                    }
                     staging.push(d);
                     if staging.len() >= tail.batch_records {
                         tail_failed = !backend.flush(&mut staging, &mut dirs, &sink, &mut stats);
@@ -978,7 +994,7 @@ where
                 // Final partial batch.
                 backend.flush(&mut staging, &mut dirs, &sink, &mut stats);
             }
-            (stats, backend.finish(), fig3)
+            (stats, backend.finish())
         });
 
         // Reorder stage, on this thread: forward ordered runs.
@@ -1013,13 +1029,13 @@ where
         // etwlint: allow(no-panic-hot-path): join() only errs when the
         // joined thread panicked; re-raising is panic propagation, not a
         // new failure mode.
-        let (mut stats, scheme, fig3) = sequencer.join().expect("sequencer panicked");
+        let (mut stats, scheme) = sequencer.join().expect("sequencer panicked");
         // etwlint: allow(no-panic-hot-path): panic propagation, as above
         formatter.join().expect("formatter panicked");
         // etwlint: allow(no-panic-hot-path): panic propagation, as above
         let (w, io_err) = writer_thread.join().expect("writer panicked");
         front.join(&mut stats);
-        (stats, scheme, fig3, w, io_err)
+        (stats, scheme, w, io_err)
     })
     // etwlint: allow(no-panic-hot-path): crossbeam scope() errs only when
     // a child panicked; re-raising is panic propagation.
@@ -1027,9 +1043,22 @@ where
 
     match io_err {
         Some(e) => Err(e),
-        None => Ok((stats, scheme, fig3, writer)),
+        None => {
+            let fig3 = fig3.map(|selector| scheme.file_encoder().bucket_sizes_under(selector));
+            Ok((stats, scheme, fig3, writer))
+        }
     }
 }
+
+/// What [`run_capture_pipeline_batched`] hands back: the statistics, the
+/// final anonymiser state, Fig. 3's bucket sizes if requested, and the
+/// dataset writer.
+pub type BatchedRun<W> = (
+    PipelineStats,
+    PaperScheme,
+    Option<Vec<usize>>,
+    DatasetWriter<W>,
+);
 
 /// Where the batched tail's sequencer sends each staged run and each
 /// checkpoint cut: the only part of the tail that depends on
@@ -1118,25 +1147,13 @@ impl AnonBackend<'_> {
     /// in its own appearance orders; the sharded one leaves that to the
     /// assembler, which owns the global orders. Returns `false` once the
     /// tail downstream has shut down.
-    fn cut(
-        &self,
-        virtual_us: u64,
-        next_checkpoint_us: u64,
-        records: u64,
-        fig3_order: Option<Vec<FileId>>,
-    ) -> bool {
-        let mut cp = PipelineCheckpoint {
-            virtual_us,
-            next_checkpoint_us,
-            records,
-            client_order: Vec::new(),
-            file_order: Vec::new(),
-            fig3_order,
-        };
+    fn cut(&self, mut cp: PipelineCheckpoint) -> bool {
         match self {
             AnonBackend::Serial { scheme, fmt_tx, .. } => {
-                cp.client_order = scheme.client_encoder().appearance_order();
-                cp.file_order = scheme.file_encoder().appearance_order();
+                cp.set_orders(
+                    scheme.client_encoder().appearance_order(),
+                    scheme.file_encoder().appearance_order(),
+                );
                 fmt_tx.send(FormatItem::Checkpoint(cp)).is_ok()
             }
             AnonBackend::Sharded(pool) => pool.asm_tx.send(AsmItem::Checkpoint(cp)).is_ok(),
@@ -1514,10 +1531,12 @@ impl<'scope> ShardPool<'scope> {
                         if failed {
                             continue;
                         }
-                        // etwlint: allow(no-alloc-hot-loop): checkpoint cut — runs once per interval, not per record
-                        cp.client_order = asm.client_order().to_vec();
-                        // etwlint: allow(no-alloc-hot-loop): checkpoint cut, as above
-                        cp.file_order = asm.file_order().to_vec();
+                        cp.set_orders(
+                            // etwlint: allow(no-alloc-hot-loop): checkpoint cut — runs once per interval, not per record
+                            asm.client_order().to_vec(),
+                            // etwlint: allow(no-alloc-hot-loop): checkpoint cut, as above
+                            asm.file_order().to_vec(),
+                        );
                         let (records, virtual_us) = (cp.records, cp.virtual_us);
                         failed = fmt_tx.send(FormatItem::Checkpoint(cp)).is_err();
                         asm_trace.service_end(&mut pt, records as u32, virtual_us, w0, 0);
@@ -1989,17 +2008,6 @@ fn merge_reassembly(a: &mut ReassemblyStats, b: &ReassemblyStats) {
     a.duplicates += b.duplicates;
 }
 
-/// All fileIDs referenced by a message (for the Fig. 3 tracker).
-fn message_file_ids(msg: &Message) -> Vec<&etw_edonkey::ids::FileId> {
-    match msg {
-        Message::GetSources { file_ids } => file_ids.iter().collect(),
-        Message::FoundSources { file_id, .. } => vec![file_id],
-        Message::SearchResponse { results } => results.iter().map(|e| &e.file_id).collect(),
-        Message::OfferFiles { files } => files.iter().map(|e| &e.file_id).collect(),
-        _ => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2123,7 +2131,7 @@ mod tests {
     }
 
     #[test]
-    fn fig3_tracker_sees_file_ids() {
+    fn fig3_reads_file_ids_off_the_encoder() {
         let frames = frames_for(&[
             (
                 1,
@@ -2142,12 +2150,12 @@ mod tests {
             frames.into_iter(),
             2,
             PaperScheme::paper(16),
-            Some(BucketedArrays::new(ByteSelector::FIRST_TWO)),
+            Some(ByteSelector::FIRST_TWO),
             |_| {},
         );
         let fig3 = fig3.unwrap();
-        assert_eq!(fig3.distinct(), 2);
-        assert_eq!(fig3.bucket_sizes()[0], 2);
+        assert_eq!(fig3.iter().sum::<usize>(), 2);
+        assert_eq!(fig3[0], 2);
     }
 
     #[test]

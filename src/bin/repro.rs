@@ -713,21 +713,23 @@ fn bench(args: &Args) {
 }
 
 /// The CI campaign matrix (`repro matrix`), run by ci.sh: a faulty
-/// campaign smoke at every cell of clientID width {2^24, 2^16} ×
+/// campaign smoke at every cell of clientID width {2^24, 2^16, 2^32} ×
 /// anonymiser shard count {1, 4} × source shard count {1, 4}, each
 /// streamed through the batched tail with checkpoints. Within a width,
 /// every cell must produce the byte-identical dataset and the identical
 /// checkpoint cuts as the serial (1 anon shard, 1 source shard) cell —
 /// the sharded anonymiser's and sharded traffic source's portability
-/// guarantee, exercised at both the narrow test width and the wide
-/// default where clientIDs stripe across every shard's sub-table.
+/// guarantee, exercised at the narrow test width, the wide default
+/// where clientIDs stripe across every shard's sub-table, and the
+/// paper's full 32-bit space, where every id indexes the lazily paged
+/// table (each shard's sub-table spans 2^30 cells) and none spills.
 /// Exits nonzero on any divergence.
 fn matrix() {
     use edonkey_ten_weeks::core::campaign::try_run_campaign_to_writer;
     use edonkey_ten_weeks::core::pipeline::TailConfig;
     use edonkey_ten_weeks::xmlout::writer::DatasetWriter;
 
-    const WIDTHS: [u32; 2] = [24, 16];
+    const WIDTHS: [u32; 3] = [24, 16, 32];
     const SHARDS: [usize; 2] = [1, 4];
     const SRC_SHARDS: [usize; 2] = [1, 4];
     println!("== matrix: clientID width x anon shards x source shards ==");
@@ -854,7 +856,7 @@ fn matrix() {
 ///
 /// Exits nonzero on any violation.
 fn swarm(args: &Args) {
-    use edonkey_ten_weeks::anonymize::fileid::{BucketedArrays, ByteSelector};
+    use edonkey_ten_weeks::anonymize::fileid::ByteSelector;
     use edonkey_ten_weeks::anonymize::scheme::PaperScheme;
     use edonkey_ten_weeks::core::livecap::LiveCapture;
     use edonkey_ten_weeks::core::pipeline::{
@@ -1019,7 +1021,7 @@ fn swarm(args: &Args) {
         frames.into_iter(),
         2,
         PaperScheme::paper(24),
-        Some(BucketedArrays::new(ByteSelector::FIRST_TWO)),
+        Some(ByteSelector::FIRST_TWO),
         &registry,
         &opts,
         TailConfig::default(),

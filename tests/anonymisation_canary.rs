@@ -9,7 +9,7 @@
 //! Prometheus exposition — for every plausible encoding of the
 //! sentinels (dotted-quad, decimal, hex, raw bytes).
 
-use edonkey_ten_weeks::anonymize::fileid::{BucketedArrays, ByteSelector};
+use edonkey_ten_weeks::anonymize::fileid::ByteSelector;
 use edonkey_ten_weeks::anonymize::scheme::PaperScheme;
 use edonkey_ten_weeks::core::checkpoint::Checkpoint;
 use edonkey_ten_weeks::core::pipeline::{
@@ -130,7 +130,7 @@ fn no_sentinel_raw_id_reaches_any_output_surface() {
         frames.into_iter(),
         2,
         PaperScheme::paper(24),
-        Some(BucketedArrays::new(ByteSelector::FIRST_TWO)),
+        Some(ByteSelector::FIRST_TWO),
         &registry,
         &opts,
         tail,
