@@ -24,6 +24,7 @@ mkdir -p "$LOG_DIR"
 STAGES='
 build|cargo build --release|cargo build --release
 test|workspace tests|cargo test -q --workspace
+examples|build every example in release and run each from target/ci/examples (capture_campaign writes campaign-output/ into its working directory)|cargo build --release --examples && mkdir -p target/ci/examples && cd target/ci/examples && for f in ../../../examples/*.rs; do e=$(basename "$f" .rs); echo "== $e"; ../../release/examples/"$e" && continue; echo "example $e failed"; exit 1; done
 perfbench|benchmark harness still builds against the pipeline API: its cargo tests + run.py self-tests|cargo test -q --offline --manifest-path perfbench/Cargo.toml && python3 -m unittest discover -s perfbench/tests
 soak|kill+resume byte identity, fault ledgers|cargo run -q --release --bin repro -- soak --faults --out target/soak
 swarm|real-socket loopback soak: impaired client swarm, exact conservation, live-capture canary|cargo run -q --release --bin repro -- swarm --faults --out target/swarm

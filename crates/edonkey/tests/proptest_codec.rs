@@ -113,6 +113,70 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// Body of `truncation_always_detected`: any prefix truncation of a
+/// valid message is rejected — with one protocol-faithful exception:
+/// GetSources carries no count field (its fileID list length is implied
+/// by the datagram length), so cutting it at a 16-byte boundary yields a
+/// valid, shorter GetSources. For every other message the formats are
+/// explicitly sized and truncation must error.
+fn check_truncation_detected(msg: Message, frac: f64) -> TestCaseResult {
+    prop_assume!(!matches!(msg, Message::GetSources { .. }));
+    let buf = msg.encode();
+    if buf.len() > 2 {
+        let cut = 2 + ((buf.len() - 2) as f64 * frac) as usize;
+        if cut < buf.len() {
+            prop_assert!(Message::decode(&buf[..cut]).is_err());
+        }
+    }
+    Ok(())
+}
+
+/// Body of `get_sources_truncation`, the GetSources exception pinned
+/// down: truncation at a 16-byte boundary decodes to the prefix of the
+/// fileID list; anywhere else it errors.
+fn check_get_sources_truncation(ids: Vec<FileId>, cut: usize) -> TestCaseResult {
+    let n = ids.len();
+    let msg = Message::GetSources {
+        file_ids: ids.clone(),
+    };
+    let buf = msg.encode();
+    let cut = 2 + (cut % (buf.len() - 3));
+    let body = cut - 2;
+    let out = Message::decode(&buf[..cut]);
+    if body.is_multiple_of(16) && body > 0 {
+        let k = body / 16;
+        prop_assert!(k < n);
+        match out {
+            Ok(Message::GetSources { file_ids }) => {
+                prop_assert_eq!(file_ids, ids[..k].to_vec());
+            }
+            other => return Err(TestCaseError::fail(format!("{other:?}"))),
+        }
+    } else {
+        prop_assert!(out.is_err());
+    }
+    Ok(())
+}
+
+// The recorded cases in `proptest_codec.proptest-regressions`, which the
+// vendored runner does not replay.
+
+/// A GetSources cut at a 16-byte boundary is the documented exception,
+/// so the truncation property must set it aside rather than fail.
+#[test]
+fn truncation_always_detected_get_sources_on_id_boundary() {
+    let msg = Message::GetSources {
+        file_ids: vec![FileId([0; 16]); 5],
+    };
+    let out = check_truncation_detected(msg, 0.8002475179749063);
+    assert!(matches!(out, Err(TestCaseError::Reject(_))), "{out:?}");
+}
+
+#[test]
+fn get_sources_truncation_header_only() {
+    check_get_sources_truncation(vec![FileId([0; 16]); 2], 31).unwrap();
+}
+
 proptest! {
     /// Encode → decode is the identity on all representable messages.
     #[test]
@@ -141,48 +205,17 @@ proptest! {
         );
     }
 
-    /// Any prefix truncation of a valid message is rejected — with one
-    /// protocol-faithful exception: GetSources carries no count field (its
-    /// fileID list length is implied by the datagram length), so cutting
-    /// it at a 16-byte boundary yields a valid, shorter GetSources. For
-    /// every other message the formats are explicitly sized and truncation
-    /// must error.
+    /// See [`check_truncation_detected`].
     #[test]
     fn truncation_always_detected(msg in arb_message(), frac in 0.0f64..1.0) {
-        prop_assume!(!matches!(msg, Message::GetSources { .. }));
-        let buf = msg.encode();
-        if buf.len() > 2 {
-            let cut = 2 + ((buf.len() - 2) as f64 * frac) as usize;
-            if cut < buf.len() {
-                prop_assert!(Message::decode(&buf[..cut]).is_err());
-            }
-        }
+        check_truncation_detected(msg, frac)?;
     }
 
-    /// The GetSources exception, pinned down: truncation at a 16-byte
-    /// boundary decodes to the prefix of the fileID list; anywhere else it
-    /// errors.
+    /// See [`check_get_sources_truncation`].
     #[test]
     fn get_sources_truncation(ids in prop::collection::vec(arb_file_id(), 2..8),
                               cut in 1usize..100) {
-        let n = ids.len();
-        let msg = Message::GetSources { file_ids: ids.clone() };
-        let buf = msg.encode();
-        let cut = 2 + (cut % (buf.len() - 3));
-        let body = cut - 2;
-        let out = Message::decode(&buf[..cut]);
-        if body.is_multiple_of(16) && body > 0 {
-            let k = body / 16;
-            prop_assert!(k < n);
-            match out {
-                Ok(Message::GetSources { file_ids }) => {
-                    prop_assert_eq!(file_ids, ids[..k].to_vec());
-                }
-                other => return Err(TestCaseError::fail(format!("{other:?}"))),
-            }
-        } else {
-            prop_assert!(out.is_err());
-        }
+        check_get_sources_truncation(ids, cut)?;
     }
 
     /// Flipping the protocol marker is always classified NotEdonkey.

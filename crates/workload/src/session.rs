@@ -1,18 +1,17 @@
-//! Sharded per-client session generator — the parallel traffic source.
+//! Per-client session generator — the campaign's traffic source.
 //!
-//! [`TrafficGenerator`](crate::generator::TrafficGenerator) drives every
-//! client from one shared RNG, so its draw sequence depends on the global
-//! interleaving of client events and cannot be partitioned. This module
-//! re-derives the same behavioural model (same phase machine, same
-//! distributions, same forged-ID scheme) from a **per-client** RNG seeded
-//! by `(campaign seed, global client index)`. Every draw a client ever
-//! makes — session behaviour *and* the wire-level randomness the capture
-//! path needs (corruption, TCP/UDP noise) — comes from its own stream,
-//! which makes the emitted event sequence invariant under any partition
-//! of the population: shard workers own disjoint client subsets and a
-//! k-way merge on `(t_us, gidx)` reproduces the exact single-shard order
-//! (each client has at most one pending event, and `gidx` breaks ties the
-//! same way the serial heap does).
+//! Each client is a small phase machine (connect → announce shares →
+//! announce forged decoys → ask about files) driven by its **own** RNG,
+//! seeded by `(campaign seed, global client index)`. Every draw a client
+//! ever makes — session behaviour *and* the wire-level randomness the
+//! capture path needs (corruption, TCP/UDP noise) — comes from that one
+//! stream, so the emitted event sequence is invariant under any partition
+//! of the population: [`SessionShard`] workers own disjoint client
+//! subsets and [`MergedSessions`] k-way-merges them on `(t_us, gidx)`
+//! into the exact one-shard order (each client has at most one pending
+//! event, and `gidx` breaks ties). The stream holds only *client
+//! queries*; the directory server produces the answers, as in the
+//! measured system where the capture saw both directions.
 //!
 //! Events carry the query already encoded to wire bytes (built from
 //! per-file blobs precomputed once in [`SourceBlobs`]) plus a compact
@@ -20,7 +19,6 @@
 
 use crate::catalog::Catalog;
 use crate::clients::Population;
-use crate::generator::GeneratorParams;
 use etw_edonkey::ids::{ClientId, FileId};
 use etw_edonkey::tags::special;
 use rand::rngs::StdRng;
@@ -32,9 +30,43 @@ use std::sync::Arc;
 /// eDonkey datagram marker byte.
 const MARKER: u8 = 0xE3;
 
-/// Wire-level randomness parameters, pre-drawn per event in the client
-/// stream so frame synthesis downstream stays partition-invariant.
+/// Session tuning parameters.
 #[derive(Clone, Debug)]
+pub struct GeneratorParams {
+    /// Virtual campaign duration in seconds (the paper: ten weeks).
+    pub duration_secs: u64,
+    /// Probability that an ask is preceded by a metadata search (the
+    /// rest go straight to a source query, e.g. resumed downloads).
+    pub p_search_first: f64,
+    /// Probability that a search carries a file-size constraint.
+    pub p_size_constraint: f64,
+    /// Probability of a management query at connect time.
+    pub p_management: f64,
+    /// Files per OfferFiles announcement message.
+    pub announce_chunk: usize,
+    /// Probability that an announcement uses an oversized chunk (these
+    /// are the datagrams that exceed the MTU and exercise IP
+    /// fragmentation, rare as in the paper).
+    pub p_large_chunk: f64,
+}
+
+impl Default for GeneratorParams {
+    fn default() -> Self {
+        GeneratorParams {
+            duration_secs: 7 * 86_400, // one virtual week by default
+            p_search_first: 0.8,
+            p_size_constraint: 0.15,
+            p_management: 0.5,
+            announce_chunk: 12,
+            p_large_chunk: 0.003,
+        }
+    }
+}
+
+/// Wire-level randomness parameters, pre-drawn per event in the client
+/// stream so frame synthesis downstream stays partition-invariant. The
+/// default is a clean wire: no corruption and no noise.
+#[derive(Clone, Debug, Default)]
 pub struct WireParams {
     /// Probability a datagram is corrupted in flight.
     pub p_corrupt: f64,
@@ -306,7 +338,6 @@ pub struct SessionShard {
     /// Heap of (t_us, local state index) — gidx order coincides with
     /// local index order within a shard, so local ties break like global.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
-    emitted: u64,
 }
 
 impl SessionShard {
@@ -350,11 +381,8 @@ impl SessionShard {
                 attempts += 1;
             }
             shared.sort_unstable();
-            let start_us = if params.diurnal {
-                sample_diurnal_arrival(horizon_us, &mut rng)
-            } else {
-                rng.gen_range(0..horizon_us)
-            };
+            // Arrivals spread uniformly over the first 90% of the campaign.
+            let start_us = rng.gen_range(0..horizon_us);
             heap.push(Reverse((start_us, states.len() as u32)));
             states.push(ClientState {
                 gidx: gidx as u32,
@@ -372,13 +400,7 @@ impl SessionShard {
             wire,
             states,
             heap,
-            emitted: 0,
         }
-    }
-
-    /// Events emitted so far by this shard.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     fn schedule(&mut self, li: u32, at_us: u64) {
@@ -638,20 +660,6 @@ fn chunk_size(rng: &mut StdRng, params: &GeneratorParams) -> usize {
     }
 }
 
-/// Rejection-samples a diurnal arrival (same shape as the serial
-/// generator's profile: evening peak, early-morning trough).
-fn sample_diurnal_arrival<R: Rng + ?Sized>(horizon_us: u64, rng: &mut R) -> u64 {
-    use std::f64::consts::TAU;
-    loop {
-        let t = rng.gen_range(0..horizon_us);
-        let day_phase = (t as f64 / 1e6) / 86_400.0;
-        let density = 1.0 + 0.6 * (TAU * (day_phase - 0.33)).sin();
-        if rng.gen_range(0.0..1.6) < density {
-            return t;
-        }
-    }
-}
-
 impl Iterator for SessionShard {
     type Item = SrcEvent;
 
@@ -661,7 +669,6 @@ impl Iterator for SessionShard {
                 let wire = self.draw_wire(li, op.has_answer());
                 let s = &self.states[li as usize];
                 let profile = &self.population.clients()[s.gidx as usize];
-                self.emitted += 1;
                 return Some(SrcEvent {
                     t_us: now_us,
                     gidx: s.gidx,
@@ -678,8 +685,8 @@ impl Iterator for SessionShard {
 }
 
 /// Serially k-way-merges `shards` into the global `(t_us, gidx)` order —
-/// the reference merge the threaded source must reproduce. Used by tests
-/// and by the single-shard fast path.
+/// the reference merge the threaded source must reproduce. Used by tests,
+/// the examples and the single-shard fast path.
 pub struct MergedSessions {
     shards: Vec<SessionShard>,
     heads: Vec<Option<SrcEvent>>,
@@ -904,6 +911,50 @@ mod tests {
         assert!(
             offers > 50 && searches > 100,
             "{offers} offers, {searches} searches"
+        );
+    }
+
+    #[test]
+    fn announcements_cover_shared_files() {
+        let (catalog, pop, blobs) = setup(150, 2000);
+        let events: Vec<SrcEvent> = MergedSessions::new(
+            catalog.clone(),
+            pop.clone(),
+            blobs,
+            params(86_400),
+            wire_params(),
+            5,
+            2,
+        )
+        .collect();
+        use std::collections::HashMap;
+        let mut announced: HashMap<u32, HashSet<FileId>> = HashMap::new();
+        for e in &events {
+            if let SrcOp::Offer(entries) = &e.op {
+                let set = announced.entry(e.client.raw()).or_default();
+                set.extend(entries.iter().map(|en| en.file_id));
+            }
+        }
+        let legit: HashSet<FileId> = catalog.files().iter().map(|f| f.id).collect();
+        let mut checked = 0;
+        for p in pop.clients().iter().filter(|p| p.n_shared > 0) {
+            if let Some(set) = announced.get(&p.id.raw()) {
+                let legit_count = set.iter().filter(|id| legit.contains(id)).count() as u32;
+                // Zipf dedup may give slightly fewer distinct files than
+                // requested for very large shares, never more.
+                assert!(
+                    legit_count <= p.n_shared,
+                    "client shared more than profiled"
+                );
+                if p.n_shared <= 100 {
+                    assert!(legit_count >= 1, "client announced nothing");
+                }
+                checked += 1;
+            }
+        }
+        assert!(
+            checked > 50,
+            "too few announcing clients checked: {checked}"
         );
     }
 

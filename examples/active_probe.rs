@@ -17,18 +17,21 @@ use edonkey_ten_weeks::server::engine::ServerEngine;
 use edonkey_ten_weeks::telemetry::Registry;
 use edonkey_ten_weeks::workload::catalog::{Catalog, CatalogParams};
 use edonkey_ten_weeks::workload::clients::{Population, PopulationParams};
-use edonkey_ten_weeks::workload::generator::{GeneratorParams, TrafficGenerator};
+use edonkey_ten_weeks::workload::session::{
+    GeneratorParams, MergedSessions, SourceBlobs, SrcOp, WireParams,
+};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 fn main() {
     // Populate a live server through ordinary client announcements.
-    let catalog = Catalog::generate(
+    let catalog = Arc::new(Catalog::generate(
         &CatalogParams {
             n_files: 20_000,
             ..CatalogParams::default()
         },
         1,
-    );
+    ));
     let population = Population::generate(
         &PopulationParams {
             n_clients: 2_000,
@@ -38,18 +41,22 @@ fn main() {
         2,
     );
     let mut server = ServerEngine::default();
-    let generator = TrafficGenerator::new(
-        &catalog,
-        &population,
+    let sessions = MergedSessions::new(
+        Arc::clone(&catalog),
+        Arc::new(population),
+        Arc::new(SourceBlobs::build(&catalog)),
         GeneratorParams {
             duration_secs: 2 * 3_600,
             ..GeneratorParams::default()
         },
+        WireParams::default(),
         3,
+        1,
     );
-    for ev in generator {
-        if matches!(ev.msg, Message::OfferFiles { .. }) {
-            server.handle(ev.client, &ev.msg);
+    for ev in sessions {
+        if matches!(ev.op, SrcOp::Offer(_)) {
+            let msg = Message::decode(&ev.query).expect("session queries decode");
+            server.handle(ev.client, &msg);
         }
     }
     let truth = server.index().file_count();

@@ -14,19 +14,22 @@
 //! ```
 
 use edonkey_ten_weeks::anonymize::fileid::{BucketedArrays, ByteSelector, FileIdAnonymizer};
-use edonkey_ten_weeks::edonkey::Message;
 use edonkey_ten_weeks::workload::catalog::{Catalog, CatalogParams};
 use edonkey_ten_weeks::workload::clients::{ClassMix, Population, PopulationParams};
-use edonkey_ten_weeks::workload::generator::{GeneratorParams, TrafficGenerator};
+use edonkey_ten_weeks::workload::session::{
+    GeneratorParams, MergedSessions, SourceBlobs, SrcOp, WireParams,
+};
+use std::sync::Arc;
 
 fn main() {
-    let catalog = Catalog::generate(
+    let catalog = Arc::new(Catalog::generate(
         &CatalogParams {
             n_files: 5_000,
             ..CatalogParams::default()
         },
         1,
-    );
+    ));
+    let blobs = Arc::new(SourceBlobs::build(&catalog));
 
     println!(
         "{:>12} {:>14} {:>14} {:>10} {:>10}",
@@ -47,23 +50,26 @@ fn main() {
             },
             2,
         );
-        let generator = TrafficGenerator::new(
-            &catalog,
-            &population,
+        let sessions = MergedSessions::new(
+            Arc::clone(&catalog),
+            Arc::new(population),
+            Arc::clone(&blobs),
             GeneratorParams {
                 duration_secs: 3_600,
                 ..GeneratorParams::default()
             },
+            WireParams::default(),
             3,
+            1,
         );
 
         // Feed every announced fileID through both stores, exactly as
         // the capture machine's anonymiser would.
         let mut first = BucketedArrays::new(ByteSelector::FIRST_TWO);
         let mut alt = BucketedArrays::new(ByteSelector::ALTERNATIVE);
-        for ev in generator {
-            if let Message::OfferFiles { files } = &ev.msg {
-                for e in files {
+        for ev in sessions {
+            if let SrcOp::Offer(entries) = &ev.op {
+                for e in entries {
                     first.anonymize(&e.file_id);
                     alt.anonymize(&e.file_id);
                 }
